@@ -228,8 +228,9 @@ TEST(DeltaDiffTest, MergedServingMatchesOfflineRebuild) {
         c.universe = 3000;
         c.sets = 24;
         c.max_size = 200;
-        c.tag = "s" + std::to_string(seed) + "_d" + std::to_string(del_pm) +
-                "_m" + std::to_string(static_cast<int>(mode));
+        c.tag.append("s").append(std::to_string(seed));
+        c.tag.append("_d").append(std::to_string(del_pm));
+        c.tag.append("_m").append(std::to_string(static_cast<int>(mode)));
         run_case(c);
       }
     }

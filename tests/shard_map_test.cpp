@@ -119,7 +119,9 @@ TEST(ShardMapTest, PartitionIsADenseConsistentInverse) {
     for (std::uint32_t lid = 0; lid < owned.size(); ++lid) {
       const std::uint32_t gid = owned[lid];
       // owned[] ascending == local id is the rank of the global id.
-      if (lid > 0) ASSERT_LT(owned[lid - 1], gid);
+      if (lid > 0) {
+        ASSERT_LT(owned[lid - 1], gid);
+      }
       ASSERT_EQ(map.shard_of(gid), s);
       ASSERT_EQ(part.shard_of_id[gid], s);
       ASSERT_EQ(part.local_of_id[gid], lid);
