@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <mutex>
@@ -27,11 +26,8 @@ constexpr std::uint32_t kNoExclude = 0xffffffffu;
 
 std::uint64_t now_ns() { return service::QueryEngine::now_ns(); }
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char tmp[24];
-  const auto [end, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
-  s.append(tmp, end);
-}
+using service::proto::append_list;
+using service::proto::append_u64;
 
 std::string unavailable_line(std::uint32_t s) {
   std::string e = "ERR UNAVAILABLE shard=";
@@ -72,19 +68,9 @@ bool parse_entry(std::string_view t, std::uint32_t& id, std::uint64_t& cnt) {
          service::proto::parse_u64(t.substr(colon + 1), cnt);
 }
 
-RouterCore::Reply err_reply(std::string e) {
-  RouterCore::Reply r;
-  r.ok = false;
-  r.error = std::move(e);
-  return r;
-}
+RouterCore::Reply err_reply(std::string e) { return {false, {}, std::move(e)}; }
 
-RouterCore::Reply ok_reply(Result res) {
-  RouterCore::Reply r;
-  r.ok = true;
-  r.result = res;
-  return r;
-}
+RouterCore::Reply ok_reply(const Result& res) { return {true, res, {}}; }
 
 std::string overload_line(std::uint64_t retry_ms) {
   char tmp[48];
@@ -245,6 +231,7 @@ bool RouterCore::gated(std::uint64_t mask, std::uint64_t& retry_ms) {
 
 RouterCore::Reply RouterCore::execute(const Query& q,
                                       std::uint64_t deadline_ns) {
+  if (q.kind == QueryKind::kFlush) return flush();  // a control verb
   queries_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t touched = 0;
   Reply r = execute_impl(q, deadline_ns, touched);
@@ -336,9 +323,7 @@ RouterCore::Hop RouterCore::semi_join_ids(std::span<const std::uint32_t> gids,
 
   bool first = true;
   for (const Group& g : groups) {
-    std::string line;
-    line.reserve(16 + 21 * (g.lids.size() + (first ? 0 : list.size())));
-    line += first ? "X J " : "X I ";
+    std::string line = first ? "X J " : "X I ";
     append_u64(line, g.lids.size());
     for (const std::uint32_t lid : g.lids) {
       line.push_back(' ');
@@ -346,11 +331,7 @@ RouterCore::Hop RouterCore::semi_join_ids(std::span<const std::uint32_t> gids,
     }
     if (!first) {
       line.push_back(' ');
-      append_u64(line, list.size());
-      for (const std::uint64_t e : list) {
-        line.push_back(' ');
-        append_u64(line, e);
-      }
+      append_list(line, list);
     }
     std::string reply;
     switch (exchange(g.shard, line, deadline_ns, reply, /*retry=*/true)) {
@@ -430,14 +411,9 @@ RouterCore::Reply RouterCore::execute_impl(const Query& q,
       Result res;
       if (list.empty()) return ok_reply(res);
       std::string l2 = raw ? "X RI " : "X I 1 ";
-      l2.reserve(16 + 21 * (list.size() + 1));
       append_u64(l2, part_.local_of_id[second]);
       l2.push_back(' ');
-      append_u64(l2, list.size());
-      for (const std::uint64_t e : list) {
-        l2.push_back(' ');
-        append_u64(l2, e);
-      }
+      append_list(l2, list);
       switch (exchange(s2, l2, deadline_ns, reply, /*retry=*/true)) {
         case Hop::kOk: break;
         case Hop::kTimeout: return err_reply(kTimeoutErr);
@@ -506,12 +482,7 @@ RouterCore::Reply RouterCore::execute_impl(const Query& q,
       append_u64(scatter, q.k);
       scatter.push_back(' ');
       std::string suffix;
-      suffix.reserve(21 * (list.size() + 1));
-      append_u64(suffix, list.size());
-      for (const std::uint64_t e : list) {
-        suffix.push_back(' ');
-        append_u64(suffix, e);
-      }
+      append_list(suffix, list);
       Result res;
       TopEntry best[service::kMaxTopK];
       std::uint32_t size = 0;
@@ -622,14 +593,9 @@ RouterCore::Reply RouterCore::execute_impl(const Query& q,
         return ok_reply(res);
       }
       std::string line = "X I 1 ";
-      line.reserve(16 + 21 * (list.size() + 2));
       append_u64(line, part_.local_of_id[cons]);
       line.push_back(' ');
-      append_u64(line, list.size());
-      for (const std::uint64_t e : list) {
-        line.push_back(' ');
-        append_u64(line, e);
-      }
+      append_list(line, list);
       const std::uint32_t sc = part_.shard_of_id[cons];
       std::string reply;
       switch (exchange(sc, line, deadline_ns, reply, /*retry=*/true)) {
@@ -720,27 +686,25 @@ std::string RouterCore::reload(const std::string& prefix) {
   return out;
 }
 
-std::string RouterCore::flush() {
-  std::uint64_t max_epoch = 0;
+RouterCore::Reply RouterCore::flush() {
+  Result res;  // value: the newest epoch any shard serves afterwards
   for (std::uint32_t s = 0; s < shard_count(); ++s) {
     std::string reply;
     const Hop h = exchange(s, "FLUSH", 0, reply, /*retry=*/true);
     if (h == Hop::kUnavailable || h == Hop::kTimeout) {
-      return unavailable_line(s);
+      return err_reply(unavailable_line(s));
     }
-    if (h == Hop::kErrLine) return reply;  // typed shard error, verbatim
+    if (h == Hop::kErrLine) return err_reply(reply);  // typed, verbatim
     std::uint64_t epoch = 0;
     if (reply.rfind("FLUSHED epoch=", 0) != 0 ||
         !service::proto::parse_u64(
             std::string_view(reply).substr(sizeof("FLUSHED epoch=") - 1),
             epoch)) {
-      return unavailable_line(s);
+      return err_reply(unavailable_line(s));
     }
-    if (epoch > max_epoch) max_epoch = epoch;
+    res.value = std::max(res.value, epoch);
   }
-  std::string out = "FLUSHED epoch=";
-  append_u64(out, max_epoch);
-  return out;
+  return ok_reply(res);
 }
 
 std::string RouterCore::stats_line() {

@@ -54,10 +54,11 @@
 #include "router/shard_client.hpp"
 #include "router/shard_map.hpp"
 #include "service/query_engine.hpp"
+#include "service/server.hpp"
 
 namespace repro::router {
 
-class RouterCore {
+class RouterCore final : public service::Handler {
  public:
   static constexpr std::uint32_t kMaxShards = 64;
 
@@ -73,24 +74,16 @@ class RouterCore {
   /// the ShardMap partition (corpus split with different parameters).
   explicit RouterCore(Options opt);
 
-  struct Reply {
-    bool ok = false;
-    service::Result result;  ///< valid when ok; fold/format from this
-    std::string error;       ///< full typed error line when !ok
-  };
+  /// Executes one read, write or FLUSH query. deadline_ns == 0 means
+  /// none.
+  Reply execute(const service::Query& q, std::uint64_t deadline_ns) override;
 
-  /// Executes one read or write query. deadline_ns == 0 means none.
-  Reply execute(const service::Query& q, std::uint64_t deadline_ns);
-
-  /// Control verbs; each returns the full protocol reply line.
-  ///
   /// RELOAD: with an empty prefix every shard reloads its own last path;
   /// otherwise shard s reloads "<prefix>.<s>.snap" (shard-split's naming).
   /// All-or-nothing reporting, then a re-handshake revalidates the
-  /// partition against the reloaded corpus.
-  std::string reload(const std::string& prefix);
-  std::string flush();
-  std::string stats_line();
+  /// partition against the reloaded corpus. Returns the reply line.
+  std::string reload(const std::string& prefix) override;
+  std::string stats_line() override;
 
   std::uint32_t total_sets() const { return total_; }
   std::uint64_t universe() const { return universe_; }
@@ -125,6 +118,7 @@ class RouterCore {
                     std::vector<std::uint64_t>& list, std::string& err);
 
   void handshake();  ///< X Z all shards, rebuild partition + supports
+  Reply flush();     ///< fans FLUSH out; result.value = the newest epoch
 
   Options opt_;
   std::vector<std::unique_ptr<ShardClient>> clients_;

@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 
@@ -43,6 +44,21 @@ bool parse_u64(std::string_view s, std::uint64_t& out) {
   }
   out = v;
   return true;
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char tmp[24];
+  const auto [end, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
+  out.append(tmp, end);
+}
+
+void append_list(std::string& out, std::span<const std::uint64_t> list) {
+  out.reserve(out.size() + 21 * (list.size() + 1));
+  append_u64(out, list.size());
+  for (const std::uint64_t e : list) {
+    out.push_back(' ');
+    append_u64(out, e);
+  }
 }
 
 const char kBadReqHelp[] =

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -27,6 +28,13 @@ bool parse_u32(std::string_view s, std::uint32_t& out);
 /// Strict decimal u64 (same rules, 64-bit range). Element ids on the
 /// internal shard protocol are u64.
 bool parse_u64(std::string_view s, std::uint64_t& out);
+
+/// Appends the decimal `v`.
+void append_u64(std::string& out, std::uint64_t v);
+
+/// Appends an element list as the X verb carries it, "<m> <e>...", in
+/// requests (router) and replies (shard) alike.
+void append_list(std::string& out, std::span<const std::uint64_t> list);
 
 /// The canonical BADREQ reply for a malformed query line. Shared verbatim
 /// so router and shard error streams stay byte-identical.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 
 #include "batmap/multiway.hpp"
 #include "batmap/simd.hpp"
@@ -197,10 +199,6 @@ Admit QueryEngine::try_submit_ex(Request& r) {
   signal_.fetch_add(1, std::memory_order_release);
   signal_.notify_one();
   return Admit::kOk;
-}
-
-bool QueryEngine::try_submit(Request& r) {
-  return try_submit_ex(r) == Admit::kOk;
 }
 
 void QueryEngine::submit(Request& r) {
@@ -1108,6 +1106,7 @@ Result QueryEngine::execute_one(const Query& q) const {
 std::vector<std::uint64_t> QueryEngine::semi_join(
     std::span<const std::uint32_t> ids, std::span<const std::uint64_t> seed,
     bool use_seed, bool raw) const {
+  x_queries_.fetch_add(1, std::memory_order_relaxed);
   const ServingStateRef st = mgr_->current();
   const Snapshot& snap = st->snapshot();
   DeltaView dview;
@@ -1167,6 +1166,7 @@ std::vector<std::uint64_t> QueryEngine::semi_join(
 std::vector<TopEntry> QueryEngine::topk_against(
     std::span<const std::uint64_t> list, std::uint32_t k,
     std::uint32_t exclude) const {
+  x_queries_.fetch_add(1, std::memory_order_relaxed);
   REPRO_CHECK_MSG(k >= 1 && k <= kMaxTopK, "k out of range");
   const ServingStateRef st = mgr_->current();
   const Snapshot& snap = st->snapshot();
@@ -1193,6 +1193,7 @@ std::vector<TopEntry> QueryEngine::topk_against(
 }
 
 std::vector<std::uint64_t> QueryEngine::row_supports() const {
+  x_queries_.fetch_add(1, std::memory_order_relaxed);
   const ServingStateRef st = mgr_->current();
   const Snapshot& snap = st->snapshot();
   DeltaView dview;
@@ -1226,6 +1227,7 @@ QueryEngine::Stats QueryEngine::stats() const {
   out.delta_deletes = g.deletes;
   out.compactions = g.compactions;
   out.delta_shed = delta_shed_.load(std::memory_order_relaxed);
+  out.x_queries = x_queries_.load(std::memory_order_relaxed);
   // Layout gauges reflect the snapshot being served right now.
   const Snapshot::LayoutBreakdown br =
       mgr_->current()->snapshot().layout_breakdown();
@@ -1234,6 +1236,31 @@ QueryEngine::Stats QueryEngine::stats() const {
   out.rows_list = br.rows[static_cast<int>(core::RowLayout::kSortedList)];
   out.rows_wah = br.rows[static_cast<int>(core::RowLayout::kWah)];
   return out;
+}
+
+std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
+                         std::uint64_t swaps) {
+  char tmp[1024];
+  std::snprintf(
+      tmp, sizeof(tmp),
+      "STATS queries=%" PRIu64 " batches=%" PRIu64 " max_batch=%" PRIu64
+      " cache_hits=%" PRIu64 " cache_misses=%" PRIu64 " strip_pairs=%" PRIu64
+      " cyclic_pairs=%" PRIu64 " topk_sweeps=%" PRIu64 " kway=%" PRIu64
+      " kway_list=%" PRIu64 " kway_sweep=%" PRIu64 " arena_reserved=%" PRIu64
+      " shed=%" PRIu64 " timeouts=%" PRIu64 " pinned_fallbacks=%" PRIu64
+      " rollovers=%" PRIu64 " rows_batmap=%" PRIu64 " rows_dense=%" PRIu64
+      " rows_list=%" PRIu64 " rows_wah=%" PRIu64 " delta_sets=%" PRIu64
+      " delta_elements=%" PRIu64 " delta_bytes=%" PRIu64 " writes=%" PRIu64
+      " deletes=%" PRIu64 " compactions=%" PRIu64 " delta_shed=%" PRIu64
+      " epoch=%" PRIu64 " swaps=%" PRIu64 " x_queries=%" PRIu64,
+      s.queries, s.batches, s.max_batch_seen, s.cache_hits, s.cache_misses,
+      s.strip_pairs, s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
+      s.kway_list_steps, s.kway_sweep_steps, s.arena_reserved_bytes,
+      s.shed_overload, s.timeouts, s.pinned_fallbacks, s.epoch_rollovers,
+      s.rows_batmap, s.rows_dense, s.rows_list, s.rows_wah, s.delta_sets,
+      s.delta_elements, s.delta_bytes, s.delta_writes, s.delta_deletes,
+      s.compactions, s.delta_shed, epoch, swaps, s.x_queries);
+  return tmp;
 }
 
 }  // namespace repro::service

@@ -62,6 +62,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -294,6 +295,9 @@ class QueryEngine {
     std::uint64_t compactions = 0;
     /// Writes shed with Outcome::kOverload (delta over budget).
     std::uint64_t delta_shed = 0;
+    /// Shard-internal calls served (semi_join, topk_against, row_supports:
+    /// the router's X verb); not part of `queries`.
+    std::uint64_t x_queries = 0;
   };
 
   /// Fixed-snapshot mode: serves `snap` forever (no hot-swap). The
@@ -312,9 +316,6 @@ class QueryEngine {
   /// idle (the caller's typed backpressure signal); kExpired completes it
   /// with outcome kTimeout.
   Admit try_submit_ex(Request& r);
-  /// Enqueues `r` (overwriting its previous result). False when the ring
-  /// is full or the gate denied — the caller's backpressure signal.
-  bool try_submit(Request& r);
   /// Blocking submit: spins (with yields) until admitted. A request whose
   /// deadline expires while spinning completes with outcome kTimeout.
   void submit(Request& r);
@@ -486,6 +487,7 @@ class QueryEngine {
   std::atomic<std::uint64_t> shed_{0};      ///< typed overload admissions
   std::atomic<std::uint64_t> adm_timeouts_{0};  ///< expired at admission
   std::atomic<std::uint64_t> delta_shed_{0};    ///< kOverload writes
+  mutable std::atomic<std::uint64_t> x_queries_{0};  ///< shard-internal calls
 
   std::atomic<std::uint64_t> signal_{0};  ///< submit notifications
   std::atomic<bool> stop_{false};
@@ -495,5 +497,10 @@ class QueryEngine {
 
   std::thread worker_;  ///< last member: starts after everything is built
 };
+
+/// The STATS reply line: the counters above plus the serving epoch and
+/// the number of hot swaps.
+std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
+                         std::uint64_t swaps);
 
 }  // namespace repro::service

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "baselines/apriori.hpp"
 #include "baselines/declat.hpp"
@@ -30,22 +31,22 @@ void expect_same(std::vector<FrequentItemset> a,
 
 struct Param {
   std::uint32_t n;
-  // gtest prints this struct as a byte dump and ctest names each case after
-  // it. These bytes were padding, which printed whatever the stack held, so
-  // the names changed between builds. `name_word` spells out the bytes each
-  // case's name was first recorded with, which keeps the names fixed;
-  // zeroing it would rename the cases whose recorded bytes are not zero.
-  std::uint32_t name_word;
   double density;
   std::uint64_t total;
   std::uint32_t minsup;
-  std::uint32_t tail_word = 0;
 };
+
+/// The case name, e.g. "items12_density40pct_total600_minsup5".
+std::string param_name(const Param& p) {
+  return "items" + std::to_string(p.n) + "_density" +
+         std::to_string(static_cast<int>(p.density * 100 + 0.5)) + "pct_total" +
+         std::to_string(p.total) + "_minsup" + std::to_string(p.minsup);
+}
 
 class DEclatP : public ::testing::TestWithParam<Param> {};
 
 TEST_P(DEclatP, AgreesWithAprioriAndEclat) {
-  const auto [n, name_word, density, total, minsup, tail_word] = GetParam();
+  const auto [n, density, total, minsup] = GetParam();
   mining::BernoulliSpec spec;
   spec.num_items = n;
   spec.density = density;
@@ -66,13 +67,13 @@ TEST_P(DEclatP, AgreesWithAprioriAndEclat) {
   expect_same(d, Eclat(eopt).mine(db));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DEclatP,
-    ::testing::Values(Param{12, 0, 0.4, 600, 5},
-                      Param{10, 0x002C3B03, 0.55, 700, 10},
-                      Param{25, 0, 0.2, 1200, 6},
-                      Param{8, 0x00091E03, 0.7, 500, 3},
-                      Param{40, 0, 0.08, 1500, 3}));
+INSTANTIATE_TEST_SUITE_P(Sweep, DEclatP,
+                         ::testing::Values(Param{12, 0.4, 600, 5},
+                                           Param{10, 0.55, 700, 10},
+                                           Param{25, 0.2, 1200, 6},
+                                           Param{8, 0.7, 500, 3},
+                                           Param{40, 0.08, 1500, 3}),
+                         [](const auto& info) { return param_name(info.param); });
 
 TEST(DEclatTest, MaxSizeRespected) {
   mining::BernoulliSpec spec;

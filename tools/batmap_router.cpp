@@ -26,156 +26,24 @@
 // RELOAD semantics: a bare RELOAD tells every shard to re-load its own
 // last snapshot path; `RELOAD <prefix>` makes shard s load
 // "<prefix>.<s>.snap" (shard-split's naming). Lifecycle (signals, drain,
-// LISTENING line, stdio vs TCP) matches batmap_serve.
-#include <unistd.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-
-#include <atomic>
-#include <cerrno>
-#include <chrono>
+// LISTENING line, stdio vs TCP) is batmap_serve's: both run through
+// src/service/server.
 #include <cinttypes>
-#include <csignal>
 #include <cstdio>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "router/router_core.hpp"
-#include "service/line_io.hpp"
 #include "service/protocol.hpp"
+#include "service/server.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
-#include "util/fnv.hpp"
 
 using namespace repro;
 namespace proto = repro::service::proto;
 
 namespace {
-
-std::atomic<bool> g_stop{false};
-
-void on_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-struct RouterCtx {
-  explicit RouterCtx(router::RouterCore& c) : core(c) {}
-
-  router::RouterCore& core;
-  std::uint64_t default_deadline_ms = 0;
-  std::size_t max_line = 4096;
-};
-
-std::uint64_t serve_connection(service::FdLineIo io, RouterCtx& ctx) {
-  util::Fnv1a fp;
-  std::string line;
-  std::uint64_t served = 0;
-  for (;;) {
-    const service::FdLineIo::Line st = io.read_line(line);
-    if (st == service::FdLineIo::Line::kEof) break;
-    if (st == service::FdLineIo::Line::kTooLong) {
-      io.write_line("ERR BADREQ line too long");
-      continue;
-    }
-    if (line.empty()) continue;
-    if (line == "QUIT") break;
-    if (line == "STATS") {
-      io.write_line(ctx.core.stats_line());
-      continue;
-    }
-    if (line == "FINGERPRINT") {
-      char tmp[32];
-      std::snprintf(tmp, sizeof(tmp), "FP %016" PRIx64, fp.digest());
-      io.write_line(tmp);
-      continue;
-    }
-    if (line == "RELOAD" || line.rfind("RELOAD ", 0) == 0) {
-      io.write_line(
-          ctx.core.reload(line.size() > 7 ? line.substr(7) : std::string()));
-      continue;
-    }
-    const proto::ParsedRequest p = proto::parse_request(line);
-    if (!p.ok) {
-      io.write_line(proto::kBadReqHelp);
-      continue;
-    }
-    if (p.op == 'F') {
-      // FLUSH fans out; like on a single shard it never folds.
-      io.write_line(ctx.core.flush());
-      continue;
-    }
-    service::Query q = p.q;
-    const bool mutation = p.op == 'A' || p.op == 'D';
-    const std::uint64_t deadline_ms =
-        mutation ? 0 : (p.have_dl ? p.dl_ms : ctx.default_deadline_ms);
-    std::uint64_t deadline_ns = 0;
-    if (deadline_ms > 0) {
-      deadline_ns =
-          service::QueryEngine::now_ns() + deadline_ms * 1'000'000ull;
-    }
-    const router::RouterCore::Reply r = ctx.core.execute(q, deadline_ns);
-    if (!r.ok) {
-      io.write_line(r.error);
-      continue;
-    }
-    proto::fold_result(fp, q, r.result);
-    ++served;
-    io.write_line(proto::format_result(r.result, p.op));
-  }
-  return served;
-}
-
-int serve_tcp(std::uint16_t port, RouterCtx& ctx) {
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    std::perror("socket");
-    return 1;
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd, 64) != 0) {
-    std::perror("bind/listen");
-    ::close(listen_fd);
-    return 1;
-  }
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &blen) ==
-      0) {
-    port = ntohs(bound.sin_port);
-  }
-  std::fprintf(stderr, "batmap_router: listening on 127.0.0.1:%u\n", port);
-  std::printf("LISTENING %u\n", port);
-  std::fflush(stdout);
-  std::atomic<std::size_t> active{0};
-  while (!g_stop.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, 100);
-    if (pr < 0 && errno != EINTR) break;
-    if (pr <= 0) continue;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) continue;
-    active.fetch_add(1, std::memory_order_relaxed);
-    std::thread([fd, &ctx, &active] {
-      serve_connection(service::FdLineIo(fd, fd, ctx.max_line, &g_stop), ctx);
-      ::close(fd);
-      active.fetch_sub(1, std::memory_order_release);
-    }).detach();
-  }
-  ::close(listen_fd);
-  while (active.load(std::memory_order_acquire) != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return 0;
-}
 
 /// "7071,7072,7073" -> ports. Empty/invalid entries fail.
 bool parse_ports(const std::string& s, std::vector<std::uint16_t>& out) {
@@ -226,36 +94,22 @@ int main(int argc, char** argv) {
   }
   opt.vnodes = static_cast<std::uint32_t>(vnodes);
   opt.ring_seed = ring_seed;
-  std::uint32_t port = 0;
-  const bool tcp = !port_s.empty();
-  if (tcp && (!proto::parse_u32(port_s, port) || port > 65535)) {
+  std::optional<std::uint16_t> port;
+  if (!service::parse_port(port_s, port)) {
     std::fprintf(stderr, "batmap_router: bad --port '%s'\n", port_s.c_str());
     return 2;
   }
-
-  std::signal(SIGPIPE, SIG_IGN);
-  std::signal(SIGTERM, on_stop_signal);
-  std::signal(SIGINT, on_stop_signal);
+  service::install_signal_handlers(/*reload_on_hup=*/false);
 
   try {
     router::RouterCore core(opt);
     std::fprintf(stderr,
                  "batmap_router: %u shards, %u sets, universe %" PRIu64 "\n",
                  core.shard_count(), core.total_sets(), core.universe());
-    RouterCtx ctx{core};
-    ctx.default_deadline_ms = deadline_ms;
-    ctx.max_line = static_cast<std::size_t>(max_line);
-
-    int rc = 0;
-    if (tcp) {
-      rc = serve_tcp(static_cast<std::uint16_t>(port), ctx);
-    } else {
-      serve_connection(
-          service::FdLineIo(STDIN_FILENO, STDOUT_FILENO, ctx.max_line,
-                            &g_stop),
-          ctx);
-    }
-    g_stop.store(true, std::memory_order_relaxed);
+    const int rc = service::run_server(core, port,
+                                       {.name = "batmap_router",
+                                        .max_line = max_line,
+                                        .default_deadline_ms = deadline_ms});
     std::fprintf(stderr, "batmap_router: %s\n", core.stats_line().c_str());
     return rc;
   } catch (const CheckError& e) {

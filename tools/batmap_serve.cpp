@@ -10,7 +10,9 @@
 // (the router smoke test, multi-shard benches) parse that line instead of
 // racing for free ports.
 //
-// Protocol (one request per line, one reply line per request):
+// Protocol (one request per line, one reply line per request; the verbs
+// every front end shares live in src/service/server.hpp, the engine's
+// replies and the X forms in src/service/engine_handler.hpp):
 //
 //   I <a> <b> [ms]   exact |S_a ∩ S_b|            -> "OK <count>"
 //   S <a> <b> [ms]   raw (unpatched) sweep count  -> "OK <count>"
@@ -26,15 +28,18 @@
 //   STATS            engine counters              -> "STATS k=v k=v ..."
 //   FINGERPRINT      FNV-1a over this connection's results -> "FP <hex>"
 //   X <form> ...     shard-internal verb for batmap_router (semi-join
-//                    hops, top-k scatter, handshake; see handle_x below).
-//                    Replies never advance the fingerprint.
+//                    hops, top-k scatter, handshake). Replies never
+//                    advance the fingerprint; STATS counts them as
+//                    x_queries.
 //   QUIT             close the connection
 //
 // The optional trailing [ms] is a per-request deadline in milliseconds;
 // --deadline-ms sets a default for requests that omit it. Writes take no
-// deadline: once admitted they always apply (an acknowledged write is
-// never dropped), and "OK <recorded>" counts the ops that changed visible
-// membership (re-adding a present id records nothing). A write shed
+// deadline: once admitted they always apply, and "OK <recorded>" counts
+// the ops that changed visible membership (re-adding a present id records
+// nothing). An acknowledged write is visible to every later read at once,
+// but the delta lives only in memory: it survives a restart only once a
+// FLUSHED (or background compaction) epoch holds it. A write shed
 // because the delta is over budget replies "ERR OVERLOAD delta_full
 // retry_ms=<n>" — FLUSH (or the background compactor; see --compact-ops /
 // --compact-age-ms) drains the delta into a fresh epoch. Reads merge
@@ -74,411 +79,20 @@
 // the submission queue and coalesce into micro-batches. --naive bypasses
 // the engine's queue/batch/cache path and answers each request with the
 // one-query-at-a-time reference execution (for differential runs).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <chrono>
 #include <cinttypes>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <string_view>
-#include <thread>
-#include <vector>
 
 #include "service/delta_layer.hpp"
-#include "service/line_io.hpp"
-#include "service/protocol.hpp"
+#include "service/engine_handler.hpp"
 #include "service/query_engine.hpp"
+#include "service/server.hpp"
 #include "service/snapshot.hpp"
 #include "service/snapshot_manager.hpp"
 #include "util/args.hpp"
-#include "util/fault.hpp"
-#include "util/fnv.hpp"
 
 using namespace repro;
-namespace proto = repro::service::proto;
-
-namespace {
-
-// Signal handlers only flip these; every blocking loop polls them.
-std::atomic<bool> g_stop{false};
-std::atomic<bool> g_reload{false};
-
-void on_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
-void on_hup_signal(int) { g_reload.store(true, std::memory_order_relaxed); }
-
-std::string format_stats(const service::QueryEngine::Stats& s,
-                         std::uint64_t epoch, std::uint64_t swaps) {
-  char tmp[1024];
-  std::snprintf(
-      tmp, sizeof(tmp),
-      "STATS queries=%" PRIu64 " batches=%" PRIu64 " max_batch=%" PRIu64
-      " cache_hits=%" PRIu64 " cache_misses=%" PRIu64 " strip_pairs=%" PRIu64
-      " cyclic_pairs=%" PRIu64 " topk_sweeps=%" PRIu64 " kway=%" PRIu64
-      " kway_list=%" PRIu64 " kway_sweep=%" PRIu64 " arena_reserved=%" PRIu64
-      " shed=%" PRIu64 " timeouts=%" PRIu64 " pinned_fallbacks=%" PRIu64
-      " rollovers=%" PRIu64 " rows_batmap=%" PRIu64 " rows_dense=%" PRIu64
-      " rows_list=%" PRIu64 " rows_wah=%" PRIu64 " delta_sets=%" PRIu64
-      " delta_elements=%" PRIu64 " delta_bytes=%" PRIu64 " writes=%" PRIu64
-      " deletes=%" PRIu64 " compactions=%" PRIu64 " delta_shed=%" PRIu64
-      " epoch=%" PRIu64 " swaps=%" PRIu64,
-      s.queries, s.batches, s.max_batch_seen, s.cache_hits, s.cache_misses,
-      s.strip_pairs, s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
-      s.kway_list_steps, s.kway_sweep_steps, s.arena_reserved_bytes,
-      s.shed_overload, s.timeouts, s.pinned_fallbacks, s.epoch_rollovers,
-      s.rows_batmap, s.rows_dense, s.rows_list, s.rows_wah, s.delta_sets,
-      s.delta_elements, s.delta_bytes, s.delta_writes, s.delta_deletes,
-      s.compactions, s.delta_shed, epoch, swaps);
-  return tmp;
-}
-
-/// Shared server state: the engine, the swap manager, and the last path a
-/// snapshot was successfully loaded from (the SIGHUP reload target).
-struct ServeCtx {
-  ServeCtx(service::SnapshotManager& m, service::QueryEngine& e)
-      : mgr(m), engine(e) {}
-
-  service::SnapshotManager& mgr;
-  service::QueryEngine& engine;
-  bool naive = false;
-  std::uint64_t default_deadline_ms = 0;
-  std::size_t max_line = 4096;
-
-  std::mutex path_mu;
-  std::string snapshot_path;
-
-  std::string last_path() {
-    std::lock_guard lock(path_mu);
-    return snapshot_path;
-  }
-};
-
-/// Swaps to `path`; on success records it as the new reload target.
-/// Returns the protocol reply line (RELOADED or ERR RELOAD).
-std::string do_reload(ServeCtx& ctx, const std::string& path) {
-  try {
-    const std::uint64_t epoch = ctx.mgr.swap(path);
-    {
-      std::lock_guard lock(ctx.path_mu);
-      ctx.snapshot_path = path;
-    }
-    std::fprintf(stderr, "batmap_serve: swapped to epoch %" PRIu64 " (%s)\n",
-                 epoch, path.c_str());
-    char tmp[48];
-    std::snprintf(tmp, sizeof(tmp), "RELOADED epoch=%" PRIu64, epoch);
-    return tmp;
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "batmap_serve: reload rejected: %s\n", e.what());
-    return std::string("ERR RELOAD ") + e.what();
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char tmp[24];
-  std::snprintf(tmp, sizeof(tmp), "%" PRIu64, v);
-  out += tmp;
-}
-
-/// The shard side of the router's internal X verb. All ids are LOCAL set
-/// ids on this shard, elements are u64; every form executes synchronously
-/// on the connection thread against the currently published state (delta
-/// included), bypassing batching and admission — the router owns
-/// cross-shard admission. Forms:
-///
-///   X Z                          -> OK <universe> <n> <support>...      (handshake)
-///   X J <g> <lid>...             -> OK <m> <e>...    semi-join start: the
-///                                   intersection of the g sets' effective
-///                                   membership (exact domain)
-///   X I <g> <lid>... <m> <e>...  -> OK <m'> <e>...   semi-join hop: fold
-///                                   the g sets into the incoming list
-///   X RJ <lid>                   -> OK <m> <e>...    stored (raw-domain)
-///                                   list of one set
-///   X RI <lid> <m> <e>...        -> OK <c>           |stored ∩ list| (the
-///                                   raw count the S verb is defined in)
-///   X T <k> <xlid> <m> <e>...    -> OK <c> <lid>:<cnt>...  rank local
-///                                   sets against the list; xlid
-///                                   4294967295 = exclude nothing
-///
-/// Errors: "ERR BADREQ bad X request" for grammar, the shared RANGE line
-/// for out-of-range ids (CheckError from the engine).
-std::string handle_x(const std::string& line, ServeCtx& ctx) {
-  static constexpr char kBadX[] = "ERR BADREQ bad X request";
-  proto::Cursor c{line};
-  std::string_view t;
-  c.tok(t);  // the leading "X"
-  std::string_view form;
-  if (!c.tok(form)) return kBadX;
-
-  const auto read_ids = [&](std::vector<std::uint32_t>& ids) {
-    std::uint32_t g = 0;
-    if (!c.u32(g) || g < 1 || g > service::kMaxKwayIds) return false;
-    ids.resize(g);
-    for (std::uint32_t i = 0; i < g; ++i) {
-      if (!c.u32(ids[i])) return false;
-    }
-    return true;
-  };
-  const auto read_list = [&](std::vector<std::uint64_t>& list) {
-    std::uint64_t m = 0;
-    if (!c.u64(m) || m > (1u << 27)) return false;
-    list.resize(m);
-    for (std::uint64_t i = 0; i < m; ++i) {
-      if (!c.u64(list[i])) return false;
-    }
-    return true;
-  };
-  const auto list_reply = [](std::span<const std::uint64_t> list) {
-    std::string out;
-    out.reserve(8 + 21 * (list.size() + 1));
-    out = "OK ";
-    append_u64(out, list.size());
-    for (const std::uint64_t e : list) {
-      out.push_back(' ');
-      append_u64(out, e);
-    }
-    return out;
-  };
-
-  try {
-    if (form == "Z") {
-      if (!c.done()) return kBadX;
-      const std::vector<std::uint64_t> sup = ctx.engine.row_supports();
-      std::string out;
-      out.reserve(16 + 21 * (sup.size() + 2));
-      out = "OK ";
-      append_u64(out, ctx.mgr.current()->snapshot().universe());
-      out.push_back(' ');
-      return out + list_reply(sup).substr(3);  // "OK <u> <n> <s>..."
-    }
-    if (form == "J" || form == "I") {
-      std::vector<std::uint32_t> ids;
-      std::vector<std::uint64_t> seed;
-      if (!read_ids(ids)) return kBadX;
-      const bool use_seed = form == "I";
-      if (use_seed && !read_list(seed)) return kBadX;
-      if (!c.done()) return kBadX;
-      return list_reply(ctx.engine.semi_join(ids, seed, use_seed, false));
-    }
-    if (form == "RJ") {
-      std::uint32_t lid = 0;
-      if (!c.u32(lid) || !c.done()) return kBadX;
-      return list_reply(ctx.engine.semi_join(
-          std::span<const std::uint32_t>(&lid, 1), {}, false, true));
-    }
-    if (form == "RI") {
-      std::uint32_t lid = 0;
-      std::vector<std::uint64_t> seed;
-      if (!c.u32(lid) || !read_list(seed) || !c.done()) return kBadX;
-      const std::vector<std::uint64_t> out = ctx.engine.semi_join(
-          std::span<const std::uint32_t>(&lid, 1), seed, true, true);
-      std::string reply = "OK ";
-      append_u64(reply, out.size());
-      return reply;
-    }
-    if (form == "T") {
-      std::uint32_t k = 0;
-      std::uint32_t xlid = 0;
-      std::vector<std::uint64_t> list;
-      if (!c.u32(k) || !c.u32(xlid) || !read_list(list) || !c.done()) {
-        return kBadX;
-      }
-      const std::vector<service::TopEntry> best =
-          ctx.engine.topk_against(list, k, xlid);
-      std::string out;
-      out.reserve(8 + 32 * (best.size() + 1));
-      out = "OK ";
-      append_u64(out, best.size());
-      for (const service::TopEntry& e : best) {
-        out.push_back(' ');
-        append_u64(out, e.id);
-        out.push_back(':');
-        append_u64(out, e.count);
-      }
-      return out;
-    }
-  } catch (const CheckError&) {
-    return "ERR RANGE id or k out of range";
-  }
-  return kBadX;
-}
-
-/// Serves one connection until QUIT/EOF/shutdown. Returns requests
-/// answered OK.
-std::uint64_t serve_connection(service::FdLineIo io, ServeCtx& ctx) {
-  util::Fnv1a fp;
-  service::Request req;
-  std::string line;
-  std::uint64_t served = 0;
-  for (;;) {
-    const service::FdLineIo::Line st = io.read_line(line);
-    if (st == service::FdLineIo::Line::kEof) break;
-    if (st == service::FdLineIo::Line::kTooLong) {
-      io.write_line("ERR BADREQ line too long");
-      continue;
-    }
-    if (line.empty()) continue;
-    if (line == "QUIT") break;
-    if (line == "STATS") {
-      io.write_line(format_stats(ctx.engine.stats(), ctx.mgr.epoch(),
-                                 ctx.mgr.swaps()));
-      continue;
-    }
-    if (line == "FINGERPRINT") {
-      char tmp[32];
-      std::snprintf(tmp, sizeof(tmp), "FP %016" PRIx64, fp.digest());
-      io.write_line(tmp);
-      continue;
-    }
-    if (line == "RELOAD" || line.rfind("RELOAD ", 0) == 0) {
-      const std::string path =
-          line.size() > 7 ? line.substr(7) : ctx.last_path();
-      io.write_line(do_reload(ctx, path));
-      continue;
-    }
-    if (line.rfind("X ", 0) == 0) {
-      // Shard-internal verb: synchronous, never folded into the
-      // fingerprint (its replies are topology plumbing, not results).
-      io.write_line(handle_x(line, ctx));
-      continue;
-    }
-    const proto::ParsedRequest p = proto::parse_request(line);
-    if (!p.ok) {
-      io.write_line(proto::kBadReqHelp);
-      continue;
-    }
-    service::Query q = p.q;
-    const char op = p.op;
-    const bool mutation = op == 'A' || op == 'D' || op == 'F';
-    const std::uint64_t deadline_ms =
-        mutation ? 0 : (p.have_dl ? p.dl_ms : ctx.default_deadline_ms);
-    if (deadline_ms > 0) {
-      q.deadline_ns =
-          service::QueryEngine::now_ns() + deadline_ms * 1'000'000ull;
-    }
-    if (ctx.naive) {
-      // The reference path honors the same fault site and deadline
-      // semantics as the batch worker, so --naive and batched runs stay
-      // reply-identical under [ms] deadlines and injected stalls.
-      if (util::fault::armed()) util::fault::maybe_stall("worker_stall_ms");
-      if (q.deadline_ns != 0 &&
-          service::QueryEngine::now_ns() >= q.deadline_ns) {
-        io.write_line("ERR TIMEOUT deadline exceeded");
-        continue;
-      }
-      try {
-        const service::Result r = ctx.engine.execute_serial(q);
-        if (op != 'F') proto::fold_result(fp, q, r);
-        ++served;
-        io.write_line(proto::format_result(r, op));
-      } catch (const service::DeltaFullError&) {
-        io.write_line("ERR OVERLOAD delta_full retry_ms=100");
-      } catch (const CheckError&) {
-        io.write_line(op == 'F' ? "ERR RELOAD compaction failed"
-                                : "ERR RANGE id or k out of range");
-      }
-      continue;
-    }
-    req.query = q;
-    const service::Admit verdict = ctx.engine.try_submit_ex(req);
-    if (verdict == service::Admit::kRingFull ||
-        verdict == service::Admit::kShed) {
-      char tmp[48];
-      std::snprintf(tmp, sizeof(tmp), "ERR OVERLOAD retry_ms=%" PRIu64,
-                    (ctx.engine.retry_after_ns() + 999'999) / 1'000'000);
-      io.write_line(tmp);
-      continue;
-    }
-    if (verdict == service::Admit::kOk) service::QueryEngine::wait(req);
-    switch (req.outcome()) {
-      case service::Request::Outcome::kOk:
-        if (op != 'F') proto::fold_result(fp, q, req.result());
-        ++served;
-        io.write_line(proto::format_result(req.result(), op));
-        break;
-      case service::Request::Outcome::kTimeout:
-        io.write_line("ERR TIMEOUT deadline exceeded");
-        break;
-      case service::Request::Outcome::kOverload:
-        // The write itself was shed (delta over budget) — distinct from
-        // admission overload: the request WAS admitted and executed.
-        io.write_line("ERR OVERLOAD delta_full retry_ms=100");
-        break;
-      default:
-        io.write_line(op == 'F' ? "ERR RELOAD compaction failed"
-                                : "ERR RANGE id or k out of range");
-        break;
-    }
-  }
-  return served;
-}
-
-int serve_tcp(std::uint16_t port, ServeCtx& ctx) {
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    std::perror("socket");
-    return 1;
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd, 64) != 0) {
-    std::perror("bind/listen");
-    ::close(listen_fd);
-    return 1;
-  }
-  // With --port 0 the kernel picked the port; read it back so the
-  // LISTENING line always carries the real one.
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &blen) ==
-      0) {
-    port = ntohs(bound.sin_port);
-  }
-  std::fprintf(stderr, "batmap_serve: listening on 127.0.0.1:%u\n", port);
-  // The orchestration contract: the port reaches stdout (flushed) before
-  // the first accept, so a parent that spawned us with --port 0 can
-  // connect as soon as it reads this line.
-  std::printf("LISTENING %u\n", port);
-  std::fflush(stdout);
-  // Connection threads are detached (a long-lived server must not hoard
-  // one joinable zombie per past connection); the counter keeps the
-  // engine alive until the last connection drains after accept() stops.
-  std::atomic<std::size_t> active{0};
-  while (!g_stop.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, 100);
-    if (pr < 0 && errno != EINTR) break;
-    if (pr <= 0) continue;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) continue;
-    active.fetch_add(1, std::memory_order_relaxed);
-    std::thread([fd, &ctx, &active] {
-      serve_connection(service::FdLineIo(fd, fd, ctx.max_line, &g_stop), ctx);
-      ::close(fd);
-      active.fetch_sub(1, std::memory_order_release);
-    }).detach();
-  }
-  ::close(listen_fd);  // stop accepting; connections see g_stop and exit
-  while (active.load(std::memory_order_acquire) != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Args args(argc, argv);
@@ -520,18 +134,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "batmap_serve: --snapshot is required\n");
     return 2;
   }
-  std::uint32_t port = 0;
-  const bool tcp = !port_s.empty();
-  if (tcp && (!proto::parse_u32(port_s, port) || port > 65535)) {
+  std::optional<std::uint16_t> port;
+  if (!service::parse_port(port_s, port)) {
     std::fprintf(stderr, "batmap_serve: bad --port '%s'\n", port_s.c_str());
     return 2;
   }
-
-  // A broken pipe on reply is a departed client, not a server crash.
-  std::signal(SIGPIPE, SIG_IGN);
-  std::signal(SIGTERM, on_stop_signal);
-  std::signal(SIGINT, on_stop_signal);
-  std::signal(SIGHUP, on_hup_signal);
+  service::install_signal_handlers(/*reload_on_hup=*/true);
 
   try {
     service::SnapshotManager mgr(service::Snapshot::open(snapshot_path));
@@ -562,11 +170,7 @@ int main(int argc, char** argv) {
     service::Compactor compactor(mgr, engine.delta(), copt);
     engine.set_flush_hook([&compactor] { return compactor.compact_now(); });
     compactor.start_background();
-    ServeCtx ctx{mgr, engine};
-    ctx.naive = naive;
-    ctx.default_deadline_ms = deadline_ms;
-    ctx.max_line = static_cast<std::size_t>(max_line);
-    ctx.snapshot_path = snapshot_path;
+    service::EngineHandler handler(mgr, engine, naive, snapshot_path);
     {
       const service::ServingStateRef st = mgr.current();
       const service::Snapshot& snap = st->snapshot();
@@ -577,37 +181,15 @@ int main(int argc, char** argv) {
                    static_cast<double>(snap.mapped_bytes()) / (1 << 20),
                    naive ? " [naive mode]" : "");
     }
-
-    // SIGHUP swaps in the background so idle servers reload promptly; the
-    // thread also exits the process's poll loops by seeing g_stop.
-    std::thread control([&ctx] {
-      while (!g_stop.load(std::memory_order_relaxed)) {
-        if (g_reload.exchange(false, std::memory_order_relaxed)) {
-          do_reload(ctx, ctx.last_path());
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-    });
-
-    int rc = 0;
-    if (tcp) {
-      rc = serve_tcp(static_cast<std::uint16_t>(port), ctx);
-    } else {
-      serve_connection(
-          service::FdLineIo(STDIN_FILENO, STDOUT_FILENO, ctx.max_line,
-                            &g_stop),
-          ctx);
-    }
-
-    // Graceful drain: every admitted request completes (acknowledged work
-    // is never dropped), then the final counters go to stderr for the
-    // operator regardless of how the connections ended.
-    g_stop.store(true, std::memory_order_relaxed);
-    control.join();
+    const int rc = service::run_server(handler, port,
+                                       {.name = "batmap_serve",
+                                        .max_line = max_line,
+                                        .default_deadline_ms = deadline_ms});
+    // Graceful drain: every admitted request completes, then the final
+    // counters go to stderr for the operator regardless of how the
+    // connections ended.
     engine.drain();
-    std::fprintf(stderr, "batmap_serve: %s\n",
-                 format_stats(engine.stats(), mgr.epoch(), mgr.swaps())
-                     .c_str());
+    std::fprintf(stderr, "batmap_serve: %s\n", handler.stats_line().c_str());
     return rc;
   } catch (const CheckError& e) {
     std::fprintf(stderr, "batmap_serve: %s\n", e.what());
