@@ -24,19 +24,18 @@
 // support-ordered list-vs-sweep planner. The oracle answers them by
 // brute-force sorted-list intersection over the store's element lists.
 //
-// Workload: a dense synthetic store of `sets` equal-size random sets (equal
-// widths, so coalesced pair queries run as register-blocked strips), query
-// ids zipf-distributed so concurrent clients naturally share rows — the
-// regime a popularity-skewed serving tier sees. Three arms run the same
-// pre-generated query stream:
+// Workload: a dense synthetic store of `sets` equal-size random sets, query
+// ids zipf-distributed so concurrent clients naturally share rows and hot
+// pairs — the regime a popularity-skewed serving tier sees. Three arms run
+// the same pre-generated query stream:
 //
 //   direct         one thread calling QueryEngine::execute_one — no queue,
 //                  no threads, no serving overhead at all; the lower-bound
 //                  reference and the fingerprint anchor
 //   naive          C closed-loop clients, but the engine coalesces nothing:
 //                  max_batch=1, cache off — one-query-at-a-time serving
-//   batched        C clients, micro-batching on (strips + shared rows),
-//                  cache off
+//   batched        C clients, micro-batching on (shared top-k rows, one
+//                  wakeup per batch), cache off
 //   batched+cache  as batched, plus the LRU result cache
 //
 // The batched-vs-naive ratio is the value of coalescing at equal serving
@@ -654,14 +653,12 @@ int main(int argc, char** argv) {
     batched = run_arm(engine, stream, clients, /*naive=*/false);
     const auto st = engine.stats();
     std::printf("batched: %" PRIu64 " batches (max %" PRIu64 "), %" PRIu64
-                " strip / %" PRIu64 " cyclic / %" PRIu64
-                " duplicate pairs, %" PRIu64 " topk sweeps, %" PRIu64
+                " pair kernels, %" PRIu64 " topk sweeps, %" PRIu64
                 " kway (%" PRIu64 " list / %" PRIu64
                 " sweep steps), arena %" PRIu64 " B\n",
-                st.batches, st.max_batch_seen, st.strip_pairs, st.cyclic_pairs,
-                st.duplicate_pairs, st.topk_sweeps, st.kway_queries,
-                st.kway_list_steps, st.kway_sweep_steps,
-                st.arena_reserved_bytes);
+                st.batches, st.max_batch_seen, st.cyclic_pairs,
+                st.topk_sweeps, st.kway_queries, st.kway_list_steps,
+                st.kway_sweep_steps, st.arena_reserved_bytes);
   }
   if (!overload_only && !live_only) {
     service::QueryEngine::Options opt = base;

@@ -280,6 +280,7 @@ void DeltaLayer::merge_set_ops_locked(std::uint32_t set, std::uint64_t epoch,
 
 DeltaView DeltaLayer::view_at(std::uint64_t epoch) const {
   DeltaView v;
+  if (empty_at(epoch)) return v;
   std::lock_guard lock(mu_);
   std::vector<std::uint32_t> cand;
   for (std::uint32_t i = 0; i < sets_.size(); ++i) {

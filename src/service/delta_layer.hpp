@@ -11,14 +11,14 @@
 //
 // Reads merge base + delta per query. The query engine asks for a DeltaView
 // — an immutable per-batch snapshot of every pending op visible at the
-// serving epoch — and applies a *correction* on top of the packed batmap
-// sweep: for a pair (a, b) the exact count changes only at op-touched
-// elements, so
+// serving epoch — and applies a *correction* on top of the base kernel:
+// for a pair (a, b) the exact count changes only at op-touched elements,
+// so
 //
 //   |S'_a ∩ S'_b| = |S_a ∩ S_b| + Σ_x [x ∈ S'_a ∩ S'_b] − [x ∈ S_a ∩ S_b]
 //
 // summed over the union of touched elements (pair_delta_correction). Sets
-// with no pending delta take the untouched coalesced hot path. kSupport
+// with no pending delta run the base kernel alone. kSupport
 // answers (raw, unpatched sweep counts) additionally need the failure lists
 // a *rebuilt* row would have; effective_row() materializes them by running
 // the identical deterministic cuckoo build an offline rebuild would run
@@ -176,10 +176,11 @@ class DeltaLayer {
                       bool tombstone, std::span<const std::uint64_t> base_elements,
                       std::uint64_t base_epoch);
 
-  /// True iff a view at `epoch` would be empty — the batch fast path (one
-  /// relaxed load when the layer has never seen a write).
+  /// True iff a view at `epoch` would be empty (one relaxed load when the
+  /// layer has never seen a write).
   bool empty_at(std::uint64_t epoch) const;
-  /// Builds the consistent per-batch view of ops visible at `epoch`.
+  /// Builds the consistent per-batch view of ops visible at `epoch`; an
+  /// empty layer returns an empty view without taking the lock.
   DeltaView view_at(std::uint64_t epoch) const;
 
   /// The deterministic rebuild of one row under the ops visible at `epoch`:

@@ -96,7 +96,7 @@ std::string EngineHandler::reload(const std::string& arg) {
     return out;
   } catch (const CheckError& e) {
     std::fprintf(stderr, "batmap_serve: reload rejected: %s\n", e.what());
-    return std::string("ERR RELOAD ") + e.what();
+    return std::string("ERR RELOAD ") + e.reason();
   }
 }
 

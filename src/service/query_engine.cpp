@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "batmap/multiway.hpp"
-#include "batmap/simd.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
 
@@ -39,6 +38,89 @@ std::uint32_t dedup_ids(const std::uint32_t* ids, std::uint32_t n,
     if (!seen) out[m++] = ids[i];
   }
   return m;
+}
+
+/// `count` plus the pair's delta correction (unchanged when neither row has
+/// pending ops).
+std::uint64_t with_delta(std::uint64_t count, std::span<const std::uint64_t> ea,
+                         std::span<const DeltaOp> ops_a,
+                         std::span<const std::uint64_t> eb,
+                         std::span<const DeltaOp> ops_b) {
+  if (ops_a.empty() && ops_b.empty()) return count;
+  return static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(count) +
+      pair_delta_correction(ea, ops_a, eb, ops_b));
+}
+
+/// Effective membership of set `id`: the snapshot's element list when it
+/// has no pending ops in `dview`, else base ⊕ ops materialized into `tmp`.
+std::span<const std::uint64_t> effective_elements(
+    const Snapshot& snap, const DeltaView& dview, std::uint32_t id,
+    std::vector<std::uint64_t>& tmp) {
+  if (!dview.dirty(id)) return snap.elements(id);
+  apply_delta_ops(snap.elements(id), dview.ops(id), tmp);
+  return tmp;
+}
+
+/// The one list fold: intersects `cur` in place with row(id, tmp) for each
+/// id in order by galloping merges, stopping once `cur` is empty. Unseeded,
+/// `cur` starts as the first row. Returns the merges run.
+template <typename RowFn>
+std::uint64_t fold_rows(std::span<const std::uint32_t> ids, bool seeded,
+                        std::vector<std::uint64_t>& cur, RowFn&& row) {
+  std::vector<std::uint64_t> tmp;
+  std::uint64_t merges = 0;
+  for (const std::uint32_t id : ids) {
+    if (seeded && cur.empty()) break;
+    const std::span<const std::uint64_t> r = row(id, tmp);
+    if (seeded) {
+      cur.resize(batmap::gallop_intersect(cur, r, cur.data()));
+      ++merges;
+    } else {
+      cur.assign(r.begin(), r.end());
+      seeded = true;
+    }
+  }
+  return merges;
+}
+
+/// K-way kinds over effective element lists, in protocol order: the
+/// antecedent ids[0..n-2] folds first, so kRuleScore's aux is the running
+/// size before the consequent ids[n-1] folds in. Adds its merges to
+/// `merges`.
+Result kway_effective(const Snapshot& snap, const DeltaView& dview,
+                      const Query& q, std::uint64_t& merges) {
+  const auto effective = [&](std::uint32_t id,
+                              std::vector<std::uint64_t>& tmp) {
+    return effective_elements(snap, dview, id, tmp);
+  };
+  const std::span<const std::uint32_t> ids(q.ids, q.nids);
+  Result res;
+  std::vector<std::uint64_t> cur;
+  merges += fold_rows(ids.first(ids.size() - 1), false, cur, effective);
+  res.aux = q.kind == QueryKind::kRuleScore ? cur.size() : 0;
+  merges += fold_rows(ids.last(1), true, cur, effective);
+  res.value = cur.size();
+  return res;
+}
+
+/// The per-row top-k ranking (mixed-layout snapshots and the reference
+/// path): every row but `a`, by exact intersection with `a` corrected for
+/// `dview`'s pending ops, ranked through topk_insert.
+Result rank_rows(const Snapshot& snap, const DeltaView& dview, std::uint32_t a,
+                 std::uint32_t k) {
+  const auto ea = snap.elements(a);
+  const auto ops_a = dview.ops(a);
+  Result res;
+  for (std::uint32_t id = 0; id < snap.size(); ++id) {
+    if (id == a) continue;
+    const std::uint64_t cnt =
+        with_delta(snap.intersection_size(a, id), ea, ops_a,
+                   snap.elements(id), dview.ops(id));
+    res.topk_count = topk_insert(res.topk, res.topk_count, k, id, cnt);
+  }
+  res.value = res.topk_count;
+  return res;
 }
 
 }  // namespace
@@ -269,7 +351,7 @@ void QueryEngine::execute_batch(std::size_t count) {
 
   // The serving generation for this batch. Requests pinned to an older
   // epoch (admitted before a swap the worker has now observed) are served
-  // through the per-pair path against their own state below.
+  // through execute_on against their own state below.
   const ServingStateRef cur = mgr_->current();
   if (cur->epoch() != bound_epoch_) {
     if (cur->packed().n > 0) sweep_->bind(cur->packed());
@@ -279,25 +361,14 @@ void QueryEngine::execute_batch(std::size_t count) {
     if (bound_epoch_ != kUnbound) ++local.epoch_rollovers;
     bound_epoch_ = cur->epoch();
   }
-  const Snapshot& snap = cur->snapshot();
-  const core::PackedMaps& packed = cur->packed();
-  // Mixed-layout snapshots have no packed sweep matrix (packed.n == 0):
-  // pair queries run their cross-layout kernel directly and top-k falls
-  // back to the per-row loop inside run_topk. All-batmap serving is
-  // untouched.
-  const bool mixed = !snap.all_batmap();
   const std::uint64_t cur_epoch = cur->epoch();
   const std::uint64_t batch_now = now_ns();
 
   // One consistent delta view for the whole batch (a single lock
-  // acquisition; empty_at is one relaxed load when no writes ever landed).
-  // Sets without pending ops take the untouched coalesced paths below.
-  DeltaView dview;
-  if (!delta_.empty_at(cur_epoch)) dview = delta_.view_at(cur_epoch);
+  // acquisition, none when no writes are pending).
+  const DeltaView dview = delta_.view_at(cur_epoch);
   const bool delta_active = dview.any();
 
-  auto plans = arena_.alloc_array<PairPlan>(count);
-  std::size_t n_plans = 0;
   auto topks = arena_.alloc_array<std::uint32_t>(count);
   std::size_t n_topk = 0;
   auto kways = arena_.alloc_array<std::uint32_t>(count);
@@ -309,7 +380,6 @@ void QueryEngine::execute_batch(std::size_t count) {
       ++local.queries;
       ++local.timeouts;
       finish(r, Request::kTimeout);
-      batch_[i] = nullptr;
       continue;
     }
     if (is_mutation(r.query.kind)) {
@@ -318,8 +388,16 @@ void QueryEngine::execute_batch(std::size_t count) {
       // this batch still read the pre-batch dview — writes in a batch are
       // concurrent with its reads, and either serialization is valid.
       ++local.queries;
-      execute_mutation(cur, r, local);
-      batch_[i] = nullptr;
+      try {
+        r.result_.value = mutate(*cur, r.query);
+        finish(r, Request::kDone);
+      } catch (const DeltaFullError&) {
+        delta_shed_.fetch_add(1, std::memory_order_relaxed);
+        finish(r, Request::kOverload);
+      } catch (const CheckError&) {
+        ++local.errors;
+        finish(r, Request::kError);
+      }
       continue;
     }
     if (r.pinned_.get() != cur.get()) {
@@ -335,14 +413,12 @@ void QueryEngine::execute_batch(std::size_t count) {
         r.result_ = execute_on(st, r.query);
         finish(r, Request::kDone);
       }
-      batch_[i] = nullptr;
       continue;
     }
     if (!valid(*cur, r.query)) {
       ++local.queries;
       ++local.errors;
       finish(r, Request::kError);
-      batch_[i] = nullptr;
       continue;
     }
     if (is_kway(r.query.kind)) {
@@ -366,150 +442,21 @@ void QueryEngine::execute_batch(std::size_t count) {
         ++local.queries;
         ++local.cache_hits;
         finish(r, Request::kDone);
-        batch_[i] = nullptr;
         continue;
       }
     }
     ++local.cache_misses;
     if (r.query.kind == QueryKind::kTopK) {
       topks[n_topk++] = static_cast<std::uint32_t>(i);
-    } else if (q_dirty) {
-      // Merge-on-read: base kernel + delta correction, completed per pair.
-      // Only pairs touching a dirty set pay this; the clean majority keeps
-      // the coalesced strip path below.
-      r.result_.value = delta_pair_value(snap, dview, r.query, cur_epoch);
-      ++local.queries;
-      ++local.cyclic_pairs;
-      finish(r, Request::kDone);
-      batch_[i] = nullptr;
-    } else if (mixed) {
-      // No strips without packed words; the per-pair dispatch counts the
-      // same stored intersection the strip kernels would, so results stay
-      // byte-identical to the all-batmap path.
-      r.result_.value = r.query.kind == QueryKind::kIntersect
-                            ? snap.intersection_size(r.query.a, r.query.b)
-                            : snap.raw_count(r.query.a, r.query.b);
-      if (cache_.capacity() > 0) {
-        cache_.insert(cache_key(cur_epoch, r.query), r.result_);
-      }
-      ++local.queries;
-      ++local.cyclic_pairs;
-      finish(r, Request::kDone);
-      batch_[i] = nullptr;
-    } else {
-      const std::uint32_t sa = packed.sorted_index[r.query.a];
-      const std::uint32_t sb = packed.sorted_index[r.query.b];
-      plans[n_plans++] = {std::min(sa, sb), std::max(sa, sb),
-                          static_cast<std::uint32_t>(i)};
+      continue;
     }
-  }
-
-  // Coalesce pair queries: group by row (the narrower map), then by column
-  // width so every 4-column group is strip-eligible, then by column so
-  // duplicate pairs (hot queries from concurrent clients) sit adjacent.
-  std::sort(plans.begin(), plans.begin() + static_cast<std::ptrdiff_t>(n_plans),
-            [&](const PairPlan& x, const PairPlan& y) {
-              if (x.row_s != y.row_s) return x.row_s < y.row_s;
-              const std::uint32_t wx = packed.widths[x.col_s];
-              const std::uint32_t wy = packed.widths[y.col_s];
-              if (wx != wy) return wx < wy;
-              return x.col_s < y.col_s;
-            });
-
-  // Deduplicate: each run of identical (row, col) costs one kernel pass;
-  // every plan in the run completes from the same raw count (kind-specific
-  // patching happens per request in complete_run).
-  auto run_begin = arena_.alloc_array<std::uint32_t>(n_plans);
-  auto run_end = arena_.alloc_array<std::uint32_t>(n_plans);
-  std::size_t n_uniq = 0;
-  for (std::size_t i = 0; i < n_plans;) {
-    std::size_t j = i + 1;
-    while (j < n_plans && plans[j].row_s == plans[i].row_s &&
-           plans[j].col_s == plans[i].col_s) {
-      ++j;
+    r.result_.value = pair_value(*cur, dview, r.query);
+    if (!q_dirty && cache_.capacity() > 0) {
+      cache_.insert(cache_key(cur_epoch, r.query), r.result_);
     }
-    run_begin[n_uniq] = static_cast<std::uint32_t>(i);
-    run_end[n_uniq] = static_cast<std::uint32_t>(j);
-    ++n_uniq;
-    local.duplicate_pairs += j - i - 1;
-    i = j;
-  }
-
-  const std::uint32_t* words = packed.words.data();
-  const auto complete_run = [&](std::size_t u, std::uint64_t raw) {
-    // One failure-patch merge per unique pair, shared by every duplicate
-    // request in the run (the correction is kind-independent; kSupport
-    // just doesn't apply it).
-    std::int64_t correction = -1;
-    for (std::uint32_t i = run_begin[u]; i < run_end[u]; ++i) {
-      Request& r = *batch_[plans[i].req];
-      std::uint64_t value = raw;
-      if (r.query.kind == QueryKind::kIntersect) {
-        if (correction < 0) {
-          correction = 0;
-          const auto fa = snap.failures(r.query.a);
-          const auto fb = snap.failures(r.query.b);
-          if (!fa.empty() || !fb.empty()) {
-            correction = static_cast<std::int64_t>(
-                batmap::failure_patch_correction(fa, snap.elements(r.query.a),
-                                                 fb,
-                                                 snap.elements(r.query.b)));
-          }
-        }
-        value += static_cast<std::uint64_t>(correction);
-      }
-      r.result_.value = value;
-      if (cache_.capacity() > 0) {
-        cache_.insert(cache_key(cur_epoch, r.query), r.result_);
-      }
-      finish(r, Request::kDone);
-    }
-  };
-  std::size_t g = 0;
-  while (g < n_uniq) {
-    const std::uint32_t row_s = plans[run_begin[g]].row_s;
-    const std::uint32_t wr = packed.widths[row_s];
-    const std::uint32_t* row_words = words + packed.offsets[row_s];
-    // One row group: unique pairs [g, grp_end) share the narrower map.
-    std::size_t grp_end = g;
-    while (grp_end < n_uniq && plans[run_begin[grp_end]].row_s == row_s)
-      ++grp_end;
-    while (g < grp_end) {
-      const std::uint32_t wc = packed.widths[plans[run_begin[g]].col_s];
-      std::size_t w_end = g;
-      while (w_end < grp_end &&
-             packed.widths[plans[run_begin[w_end]].col_s] == wc) {
-        ++w_end;
-      }
-      // Full 4-column strips: the row words are read once per strip.
-      while (g + batmap::simd::kStripCols <= w_end) {
-        std::uint64_t acc[batmap::simd::kStripCols] = {};
-        const std::uint32_t* cw[batmap::simd::kStripCols];
-        for (std::size_t j = 0; j < batmap::simd::kStripCols; ++j) {
-          cw[j] = words + packed.offsets[plans[run_begin[g + j]].col_s];
-        }
-        REPRO_DCHECK(wc >= wr && wc % wr == 0);
-        for (std::uint32_t base = 0; base < wc; base += wr) {
-          const std::uint32_t* cb[batmap::simd::kStripCols] = {
-              cw[0] + base, cw[1] + base, cw[2] + base, cw[3] + base};
-          batmap::simd::match_count_strip(row_words, wr, cb, acc);
-        }
-        ++local.strip_groups;
-        for (std::size_t j = 0; j < batmap::simd::kStripCols; ++j) {
-          complete_run(g + j, acc[j]);
-        }
-        local.strip_pairs += batmap::simd::kStripCols;
-        g += batmap::simd::kStripCols;
-      }
-      // Sub-strip remainder: the dispatched cyclic kernel.
-      for (; g < w_end; ++g) {
-        const std::uint64_t raw = batmap::simd::match_count_cyclic(
-            words + packed.offsets[plans[run_begin[g]].col_s], wc, row_words,
-            wr);
-        complete_run(g, raw);
-        ++local.cyclic_pairs;
-      }
-    }
+    ++local.queries;
+    ++local.cyclic_pairs;
+    finish(r, Request::kDone);
   }
 
   // Top-k queries sharing a row coalesce into one sweep: sort by (a, k
@@ -560,8 +507,6 @@ void QueryEngine::execute_batch(std::size_t count) {
   local.queries += n_kway;
   local.kway_queries += n_kway;
 
-  local.queries += n_plans;
-
   std::lock_guard lock(stats_mu_);
   stats_.queries += local.queries;
   stats_.errors += local.errors;
@@ -569,10 +514,7 @@ void QueryEngine::execute_batch(std::size_t count) {
   stats_.max_batch_seen = std::max(stats_.max_batch_seen, local.max_batch_seen);
   stats_.cache_hits += local.cache_hits;
   stats_.cache_misses += local.cache_misses;
-  stats_.strip_groups += local.strip_groups;
-  stats_.strip_pairs += local.strip_pairs;
   stats_.cyclic_pairs += local.cyclic_pairs;
-  stats_.duplicate_pairs += local.duplicate_pairs;
   stats_.topk_sweeps += local.topk_sweeps;
   stats_.duplicate_topk += local.duplicate_topk;
   stats_.kway_queries += local.kway_queries;
@@ -606,36 +548,15 @@ void QueryEngine::run_topk(const ServingState& st, Request& r,
   const core::PackedMaps& packed = st.packed();
   const std::uint32_t a = r.query.a;
   const std::uint32_t k = r.query.k;
-  const bool delta_active = dview.any();
-  const auto ops_a = dview.ops(a);
   if (packed.n == 0) {
-    // Mixed-layout snapshot: no packed matrix to sweep. Rank every row
-    // through the same topk_insert, so the (count desc, id asc) order is
-    // identical to the sweep path and to execute_on.
-    TopEntry best[kMaxTopK];
-    std::uint32_t size = 0;
-    const auto ea = snap.elements(a);
-    for (std::uint32_t id = 0; id < snap.size(); ++id) {
-      if (id == a) continue;
-      std::uint64_t cnt = snap.intersection_size(a, id);
-      if (delta_active) {
-        const auto ops_r = dview.ops(id);
-        if (!ops_a.empty() || !ops_r.empty()) {
-          cnt = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(cnt) +
-              pair_delta_correction(ea, ops_a, snap.elements(id), ops_r));
-        }
-      }
-      size = topk_insert(best, size, k, id, cnt);
-    }
-    r.result_.topk_count = size;
-    r.result_.value = size;
-    std::copy_n(best, size, r.result_.topk);
+    // Mixed-layout snapshot: no packed matrix to sweep.
+    r.result_ = rank_rows(snap, dview, a, k);
     return;
   }
   const std::uint32_t sa = packed.sorted_index[a];
   const auto fa = snap.failures(a);
   const auto ea = snap.elements(a);
+  const auto ops_a = dview.ops(a);
 
   std::fill(topk_sizes_.begin(), topk_sizes_.end(), 0u);
   // Sweep column sa against ALL rows (the transposed band parallelizes
@@ -658,15 +579,8 @@ void QueryEngine::run_topk(const ServingState& st, Request& r,
             patched += batmap::failure_patch_correction(
                 fa, ea, fr, snap.elements(id_row));
           }
-          if (delta_active) {
-            const auto ops_r = dview.ops(id_row);
-            if (!ops_a.empty() || !ops_r.empty()) {
-              patched = static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(patched) +
-                  pair_delta_correction(ea, ops_a, snap.elements(id_row),
-                                        ops_r));
-            }
-          }
+          patched = with_delta(patched, ea, ops_a, snap.elements(id_row),
+                               dview.ops(id_row));
           size = topk_insert(best, size, k, id_row, patched);
         });
       });
@@ -688,83 +602,25 @@ void QueryEngine::run_topk(const ServingState& st, Request& r,
 void QueryEngine::run_kway(const ServingState& st, Request& r, Stats& local,
                            const DeltaView& dview) {
   const Query& q = r.query;
+  bool dirty = false;
+  for (std::uint32_t i = 0; i < q.nids; ++i) {
+    dirty = dirty || dview.dirty(q.ids[i]);
+  }
+  if (dirty) {
+    // A pending delta on any operand invalidates the planner (its sweeps
+    // read base words): the query folds effective element lists instead.
+    r.result_ = kway_effective(st.snapshot(), dview, q, local.kway_list_steps);
+    return;
+  }
   std::uint32_t uniq[kMaxKwayIds];
   const std::uint32_t n_uniq = dedup_ids(q.ids, q.nids, uniq);
-  // A pending delta on any operand invalidates the packed-word planner
-  // paths (sweeps read base words); those queries take the delta list
-  // fold over effective rows instead. Clean queries keep the planned path
-  // untouched.
-  bool dirty = false;
-  if (dview.any()) {
-    for (std::uint32_t i = 0; i < n_uniq; ++i) {
-      if (dview.dirty(uniq[i])) { dirty = true; break; }
-    }
-  }
-  r.result_.value = dirty ? kway_count_delta(st, {uniq, n_uniq}, dview, local)
-                          : kway_count(st, {uniq, n_uniq}, local);
+  r.result_.value = kway_count(st, {uniq, n_uniq}, local);
   if (q.kind == QueryKind::kRuleScore) {
     // Antecedent = ids[0 .. nids-2]; the consequent is the last operand.
-    std::uint32_t ante[kMaxKwayIds];
     const std::uint32_t n_ante =
-        dedup_ids(q.ids, static_cast<std::uint32_t>(q.nids - 1), ante);
-    bool ante_dirty = false;
-    if (dview.any()) {
-      for (std::uint32_t i = 0; i < n_ante; ++i) {
-        if (dview.dirty(ante[i])) { ante_dirty = true; break; }
-      }
-    }
-    r.result_.aux = ante_dirty
-                        ? kway_count_delta(st, {ante, n_ante}, dview, local)
-                        : kway_count(st, {ante, n_ante}, local);
+        dedup_ids(q.ids, static_cast<std::uint32_t>(q.nids - 1), uniq);
+    r.result_.aux = kway_count(st, {uniq, n_ante}, local);
   }
-}
-
-std::uint64_t QueryEngine::kway_count_delta(const ServingState& st,
-                                            std::span<const std::uint32_t> ids,
-                                            const DeltaView& dview,
-                                            Stats& local) {
-  const Snapshot& snap = st.snapshot();
-  REPRO_CHECK(!ids.empty());
-  const std::uint64_t epoch = st.epoch();
-
-  // Materialize the effective element list per operand: dirty rows come
-  // from the delta cache (rebuilt + cached per (epoch, version)), clean
-  // rows read the snapshot directly. The refs keep cached rows alive for
-  // the duration of the fold.
-  EffectiveRowRef refs[kMaxKwayIds];
-  std::span<const std::uint64_t> rows[kMaxKwayIds];
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (dview.dirty(ids[i])) {
-      refs[i] = delta_.effective_row(snap, ids[i], epoch);
-      rows[i] = refs[i]->elements;
-    } else {
-      rows[i] = snap.elements(ids[i]);
-    }
-  }
-  auto order = arena_.alloc_array<std::uint32_t>(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    order[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              if (rows[x].size() != rows[y].size()) {
-                return rows[x].size() < rows[y].size();
-              }
-              return ids[x] < ids[y];
-            });
-  const auto base = rows[order[0]];
-  if (order.size() == 1) return base.size();
-  if (base.empty()) return 0;
-  auto buf = arena_.alloc_array<std::uint64_t>(base.size());
-  std::span<const std::uint64_t> m = base;
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const std::size_t n2 =
-        batmap::gallop_intersect(m, rows[order[i]], buf.data());
-    m = {buf.data(), n2};
-    ++local.kway_list_steps;
-    if (m.empty()) return 0;
-  }
-  return m.size();
 }
 
 std::uint64_t QueryEngine::kway_count(const ServingState& st,
@@ -896,15 +752,19 @@ std::uint64_t QueryEngine::kway_count(const ServingState& st,
                                         n_sweep);
 }
 
-std::uint64_t QueryEngine::delta_pair_value(const Snapshot& snap,
-                                            const DeltaView& dview,
-                                            const Query& q,
-                                            std::uint64_t epoch) const {
+std::uint64_t QueryEngine::pair_value(const ServingState& st,
+                                      const DeltaView& dview,
+                                      const Query& q) const {
+  const Snapshot& snap = st.snapshot();
+  if (!dview.dirty(q.a) && !dview.dirty(q.b)) {
+    return q.kind == QueryKind::kIntersect ? snap.intersection_size(q.a, q.b)
+                                           : snap.raw_count(q.a, q.b);
+  }
+  // Merge-on-read: base kernel + delta correction.
   const auto ea = snap.elements(q.a);
   const auto eb = snap.elements(q.b);
-  const std::uint64_t exact = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(snap.intersection_size(q.a, q.b)) +
-      pair_delta_correction(ea, dview.ops(q.a), eb, dview.ops(q.b)));
+  const std::uint64_t exact = with_delta(snap.intersection_size(q.a, q.b), ea,
+                                         dview.ops(q.a), eb, dview.ops(q.b));
   if (q.kind == QueryKind::kIntersect) return exact;
   // kSupport: raw = exact − failure patch, both over the EFFECTIVE rows.
   // A dirty row's failure set comes from the deterministic rebuild (same
@@ -918,12 +778,12 @@ std::uint64_t QueryEngine::delta_pair_value(const Snapshot& snap,
   std::span<const std::uint64_t> feb = eb;
   EffectiveRowRef ra, rb;  // keep cached rows alive across the patch
   if (dview.dirty(q.a)) {
-    ra = delta_.effective_row(snap, q.a, epoch);
+    ra = delta_.effective_row(snap, q.a, st.epoch());
     fa = ra->failures;
     fea = ra->elements;
   }
   if (dview.dirty(q.b)) {
-    rb = delta_.effective_row(snap, q.b, epoch);
+    rb = delta_.effective_row(snap, q.b, st.epoch());
     fb = rb->failures;
     feb = rb->elements;
   }
@@ -934,163 +794,57 @@ std::uint64_t QueryEngine::delta_pair_value(const Snapshot& snap,
   return exact - patch;
 }
 
-std::uint64_t QueryEngine::execute_write(const ServingState& st,
-                                         const Query& q) {
+std::uint64_t QueryEngine::mutate(const ServingState& st, const Query& q) {
+  if (q.kind == QueryKind::kFlush) {
+    std::function<std::uint64_t()> hook;
+    {
+      std::lock_guard lock(hook_mu_);
+      hook = flush_hook_;
+    }
+    if (hook) return hook();
+    // No compactor wired: FLUSH is a barrier only. With nothing pending it
+    // trivially succeeds at the current epoch; with pending ops it cannot
+    // make them durable, which is an error the client must see.
+    REPRO_CHECK_MSG(delta_.pending_total() == 0,
+                    "FLUSH with pending writes needs a compactor");
+    return st.epoch();
+  }
+  REPRO_CHECK_MSG(valid(st, q), "invalid query");
   std::uint64_t ids64[kMaxKwayIds];
   for (std::uint32_t i = 0; i < q.nids; ++i) ids64[i] = q.ids[i];
-  return delta_.apply(q.a, {ids64, q.nids},
-                      q.kind == QueryKind::kDelete,
+  return delta_.apply(q.a, {ids64, q.nids}, q.kind == QueryKind::kDelete,
                       st.snapshot().elements(q.a), st.epoch());
 }
 
-void QueryEngine::execute_mutation(const ServingStateRef& cur, Request& r,
-                                   Stats& local) {
-  const Query& q = r.query;
-  if (q.kind == QueryKind::kFlush) {
-    std::function<std::uint64_t()> hook;
-    {
-      std::lock_guard lock(hook_mu_);
-      hook = flush_hook_;
-    }
-    if (!hook) {
-      // No compactor wired: FLUSH is a barrier only. With nothing pending
-      // it trivially succeeds at the current epoch; with pending ops it
-      // cannot make them durable, which is an error the client must see.
-      if (delta_.pending_total() == 0) {
-        r.result_.value = cur->epoch();
-        finish(r, Request::kDone);
-      } else {
-        ++local.errors;
-        finish(r, Request::kError);
-      }
-      return;
-    }
-    try {
-      r.result_.value = hook();
-      finish(r, Request::kDone);
-    } catch (const CheckError&) {
-      ++local.errors;
-      finish(r, Request::kError);
-    }
-    return;
-  }
-  if (!valid(*cur, q)) {
-    ++local.errors;
-    finish(r, Request::kError);
-    return;
-  }
-  try {
-    r.result_.value = execute_write(*cur, q);
-    finish(r, Request::kDone);
-  } catch (const DeltaFullError&) {
-    delta_shed_.fetch_add(1, std::memory_order_relaxed);
-    finish(r, Request::kOverload);
-  } catch (const CheckError&) {
-    ++local.errors;
-    finish(r, Request::kError);
-  }
-}
-
 Result QueryEngine::execute_serial(const Query& q) {
-  const ServingStateRef st = mgr_->current();
+  if (!is_mutation(q.kind)) return execute_one(q);
   Result res;
-  if (q.kind == QueryKind::kFlush) {
-    std::function<std::uint64_t()> hook;
-    {
-      std::lock_guard lock(hook_mu_);
-      hook = flush_hook_;
-    }
-    if (hook) {
-      res.value = hook();  // CheckError propagates to the caller
-    } else {
-      REPRO_CHECK_MSG(delta_.pending_total() == 0,
-                      "FLUSH with pending writes needs a compactor");
-      res.value = st->epoch();
-    }
-    return res;
-  }
-  REPRO_CHECK_MSG(valid(*st, q), "invalid query");
-  if (is_mutation(q.kind)) {
-    res.value = execute_write(*st, q);  // DeltaFullError propagates
-    return res;
-  }
-  return execute_on(*st, q);
+  res.value = mutate(*mgr_->current(), q);  // CheckError / DeltaFullError
+  return res;                                // propagate to the caller
 }
 
 Result QueryEngine::execute_on(const ServingState& st, const Query& q) const {
-  const Snapshot& snap = st.snapshot();
-  DeltaView dview;
-  if (!delta_.empty_at(st.epoch())) dview = delta_.view_at(st.epoch());
+  const DeltaView dview = delta_.view_at(st.epoch());
   Result res;
-  if (is_kway(q.kind)) {
-    // Brute force in protocol order, deliberately independent of the
-    // planner: batched-vs-naive fingerprint parity cross-checks run_kway
-    // against this implementation. Dirty operands fold their pending ops
-    // into a materialized effective list first.
-    const auto effective = [&](std::uint32_t id,
-                               std::vector<std::uint64_t>& tmp)
-        -> std::span<const std::uint64_t> {
-      if (!dview.dirty(id)) return snap.elements(id);
-      apply_delta_ops(snap.elements(id), dview.ops(id), tmp);
-      return tmp;
-    };
-    std::vector<std::uint64_t> tmp0;
-    const auto first = effective(q.ids[0], tmp0);
-    std::vector<std::uint64_t> cur(first.begin(), first.end());
-    std::uint64_t ante = cur.size();
-    std::vector<std::uint64_t> tmp;
-    for (std::uint32_t i = 1; i < q.nids; ++i) {
-      const auto other = effective(q.ids[i], tmp);
-      cur.resize(batmap::gallop_intersect(cur, other, cur.data()));
-      // After folding ids[nids-2] the running set is ∩ antecedent (the
-      // consequent ids[nids-1] is still unfolded).
-      if (i == static_cast<std::uint32_t>(q.nids) - 2) ante = cur.size();
-    }
-    res.value = cur.size();
-    if (q.kind == QueryKind::kRuleScore) res.aux = ante;
-    return res;
-  }
+  std::uint64_t merges = 0;
   switch (q.kind) {
     case QueryKind::kIntersect:
     case QueryKind::kSupport:
-      if (dview.dirty(q.a) || dview.dirty(q.b)) {
-        res.value = delta_pair_value(snap, dview, q, st.epoch());
-      } else {
-        res.value = q.kind == QueryKind::kIntersect
-                        ? snap.intersection_size(q.a, q.b)
-                        : snap.raw_count(q.a, q.b);
-      }
+      res.value = pair_value(st, dview, q);
       break;
-    case QueryKind::kTopK: {
-      const bool delta_active = dview.any();
-      const auto ea = snap.elements(q.a);
-      const auto ops_a = dview.ops(q.a);
-      TopEntry best[kMaxTopK];
-      std::uint32_t size = 0;
-      for (std::uint32_t id = 0; id < snap.size(); ++id) {
-        if (id == q.a) continue;
-        std::uint64_t cnt = snap.intersection_size(q.a, id);
-        if (delta_active) {
-          const auto ops_r = dview.ops(id);
-          if (!ops_a.empty() || !ops_r.empty()) {
-            cnt = static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(cnt) +
-                pair_delta_correction(ea, ops_a, snap.elements(id), ops_r));
-          }
-        }
-        size = topk_insert(best, size, q.k, id, cnt);
-      }
-      res.topk_count = size;
-      res.value = size;
-      std::copy_n(best, size, res.topk);
+    case QueryKind::kTopK:
+      res = rank_rows(st.snapshot(), dview, q.a, q.k);
       break;
-    }
     case QueryKind::kKway:
     case QueryKind::kRuleScore:
+      // Protocol order, deliberately independent of the planner:
+      // batched-vs-naive parity cross-checks kway_count against this fold.
+      res = kway_effective(st.snapshot(), dview, q, merges);
+      break;
     case QueryKind::kAdd:
     case QueryKind::kDelete:
     case QueryKind::kFlush:
-      break;  // k-way handled above; mutations never reach execute_on
+      break;  // mutations never reach execute_on
   }
   return res;
 }
@@ -1109,8 +863,9 @@ std::vector<std::uint64_t> QueryEngine::semi_join(
   x_queries_.fetch_add(1, std::memory_order_relaxed);
   const ServingStateRef st = mgr_->current();
   const Snapshot& snap = st->snapshot();
-  DeltaView dview;
-  if (!delta_.empty_at(st->epoch())) dview = delta_.view_at(st->epoch());
+  const DeltaView dview = delta_.view_at(st->epoch());
+  REPRO_CHECK_MSG(use_seed || !ids.empty(),
+                  "semi_join needs a seed or an operand");
   EffectiveRowRef hold;  // keeps the last dirty rebuild alive across use
   // Materializes set `id` in the requested domain: full membership
   // (raw=false) or stored elements — membership minus insertion failures —
@@ -1118,11 +873,7 @@ std::vector<std::uint64_t> QueryEngine::semi_join(
   const auto row = [&](std::uint32_t id, std::vector<std::uint64_t>& out)
       -> std::span<const std::uint64_t> {
     REPRO_CHECK_MSG(id < snap.size(), "set id out of range");
-    if (!raw) {
-      if (!dview.dirty(id)) return snap.elements(id);
-      apply_delta_ops(snap.elements(id), dview.ops(id), out);
-      return out;
-    }
+    if (!raw) return effective_elements(snap, dview, id, out);
     std::span<const std::uint64_t> elems = snap.elements(id);
     std::span<const std::uint64_t> fails = snap.failures(id);
     if (dview.dirty(id)) {
@@ -1143,23 +894,9 @@ std::vector<std::uint64_t> QueryEngine::semi_join(
     }
     return out;
   };
-
   std::vector<std::uint64_t> cur;
-  std::vector<std::uint64_t> scratch;
-  std::size_t first = 0;
-  if (use_seed) {
-    cur.assign(seed.begin(), seed.end());
-  } else {
-    REPRO_CHECK_MSG(!ids.empty(), "semi_join needs a seed or an operand");
-    const auto r0 = row(ids[0], scratch);
-    cur.assign(r0.begin(), r0.end());
-    first = 1;
-  }
-  for (std::size_t i = first; i < ids.size(); ++i) {
-    if (cur.empty()) break;
-    const auto r = row(ids[i], scratch);
-    cur.resize(batmap::gallop_intersect(cur, r, cur.data()));
-  }
+  if (use_seed) cur.assign(seed.begin(), seed.end());
+  fold_rows(ids, use_seed, cur, row);
   return cur;
 }
 
@@ -1170,19 +907,14 @@ std::vector<TopEntry> QueryEngine::topk_against(
   REPRO_CHECK_MSG(k >= 1 && k <= kMaxTopK, "k out of range");
   const ServingStateRef st = mgr_->current();
   const Snapshot& snap = st->snapshot();
-  DeltaView dview;
-  if (!delta_.empty_at(st->epoch())) dview = delta_.view_at(st->epoch());
+  const DeltaView dview = delta_.view_at(st->epoch());
   TopEntry best[kMaxTopK];
   std::uint32_t size = 0;
   std::vector<std::uint64_t> buf(list.size());
   std::vector<std::uint64_t> tmp;
   for (std::uint32_t id = 0; id < snap.size(); ++id) {
     if (id == exclude) continue;
-    std::span<const std::uint64_t> other = snap.elements(id);
-    if (dview.dirty(id)) {
-      apply_delta_ops(snap.elements(id), dview.ops(id), tmp);
-      other = tmp;
-    }
+    const auto other = effective_elements(snap, dview, id, tmp);
     const std::uint64_t cnt =
         list.empty() || other.empty()
             ? 0
@@ -1196,17 +928,11 @@ std::vector<std::uint64_t> QueryEngine::row_supports() const {
   x_queries_.fetch_add(1, std::memory_order_relaxed);
   const ServingStateRef st = mgr_->current();
   const Snapshot& snap = st->snapshot();
-  DeltaView dview;
-  if (!delta_.empty_at(st->epoch())) dview = delta_.view_at(st->epoch());
+  const DeltaView dview = delta_.view_at(st->epoch());
   std::vector<std::uint64_t> out(snap.size());
   std::vector<std::uint64_t> tmp;
   for (std::uint32_t id = 0; id < snap.size(); ++id) {
-    if (dview.dirty(id)) {
-      apply_delta_ops(snap.elements(id), dview.ops(id), tmp);
-      out[id] = tmp.size();
-    } else {
-      out[id] = snap.elements(id).size();
-    }
+    out[id] = effective_elements(snap, dview, id, tmp).size();
   }
   return out;
 }
@@ -1244,7 +970,7 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
   std::snprintf(
       tmp, sizeof(tmp),
       "STATS queries=%" PRIu64 " batches=%" PRIu64 " max_batch=%" PRIu64
-      " cache_hits=%" PRIu64 " cache_misses=%" PRIu64 " strip_pairs=%" PRIu64
+      " cache_hits=%" PRIu64 " cache_misses=%" PRIu64
       " cyclic_pairs=%" PRIu64 " topk_sweeps=%" PRIu64 " kway=%" PRIu64
       " kway_list=%" PRIu64 " kway_sweep=%" PRIu64 " arena_reserved=%" PRIu64
       " shed=%" PRIu64 " timeouts=%" PRIu64 " pinned_fallbacks=%" PRIu64
@@ -1254,7 +980,7 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
       " deletes=%" PRIu64 " compactions=%" PRIu64 " delta_shed=%" PRIu64
       " epoch=%" PRIu64 " swaps=%" PRIu64 " x_queries=%" PRIu64,
       s.queries, s.batches, s.max_batch_seen, s.cache_hits, s.cache_misses,
-      s.strip_pairs, s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
+      s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
       s.kway_list_steps, s.kway_sweep_steps, s.arena_reserved_bytes,
       s.shed_overload, s.timeouts, s.pinned_fallbacks, s.epoch_rollovers,
       s.rows_batmap, s.rows_dense, s.rows_list, s.rows_wah, s.delta_sets,

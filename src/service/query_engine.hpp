@@ -8,31 +8,35 @@
 //
 //   1. result cache probe — (epoch, kind, a, b/k)-keyed LRU; hits complete
 //      immediately without touching a kernel.
-//   2. pair queries (intersect / support) are coalesced by row: each query
-//      is mapped to width-sorted indices and keyed by its narrower map.
-//      Queries sharing a row run as register-blocked strips — the row's
-//      words are read once per simd::kStripCols columns instead of once per
-//      query — with the dispatched cyclic kernel picking up sub-strip
-//      remainders.
-//   3. top-k-similar queries sweep their row band through the engine-owned
-//      SweepEngine and reduce per-shard k-best arrays after the sweep.
+//   2. pair queries (intersect / support) that miss run pair_value — the
+//      snapshot's layout kernel, plus the delta correction when a row has
+//      pending writes — and complete in place. Every path (batched,
+//      straggler, naive) answers pairs through this one function.
+//   3. top-k-similar queries sharing a row run once with the largest k
+//      and serve smaller ks from its prefix. All-batmap snapshots sweep the
+//      row band through the engine-owned SweepEngine and reduce per-shard
+//      k-best arrays; mixed-layout snapshots (no packed words) rank every
+//      row through the per-row loop the naive path uses.
 //   4. k-way conjunctive queries (kKway / kRuleScore) are planned per query:
 //      operands ordered by snapshot-stored support, then each intersection
 //      step picks galloping sorted-list merge vs batmap counter sweep by a
 //      memory-touch cost model; the sweeps' shared fixed cost (one counter
 //      array, one decode pass) is amortized over the whole candidate set
-//      (see kway_count). Results are exact and independent of protocol
-//      operand order; they bypass the result cache (its key cannot hold an
-//      id list losslessly).
+//      (see kway_count). A query with a dirty operand, and every k-way
+//      query on the naive path, folds effective element lists instead.
+//      Results are exact and independent of protocol operand order; they
+//      bypass the result cache (its key cannot hold an id list
+//      losslessly).
 //
 // Snapshot hot-swap (SnapshotManager mode): every admitted request pins the
 // ServingState that was current at submit time; the worker executes each
 // batch against the manager's current state and serves stragglers pinned to
-// an older, still-resident epoch through the per-pair reference path. On
-// the first batch after a swap the worker rebinds the sweep engine to the
-// new packed words and clears the result cache (entries are epoch-keyed so
-// they could never hit anyway — clearing returns their capacity to the new
-// epoch immediately). Retired snapshots unmap when the last pin drops; see
+// an older, still-resident epoch through execute_on — the naive path's
+// per-query execution, against that epoch and its delta view. On the first
+// batch after a swap the worker rebinds the sweep engine to the new packed
+// words and clears the result cache (entries are epoch-keyed so they could
+// never hit anyway — clearing returns their capacity to the new epoch
+// immediately). Retired snapshots unmap when the last pin drops; see
 // snapshot_manager.hpp.
 //
 // Admission control: try_submit_ex() is the shedding entry point. It
@@ -254,10 +258,7 @@ class QueryEngine {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_evictions = 0;
-    std::uint64_t strip_groups = 0;   ///< 4-column strip kernel calls
-    std::uint64_t strip_pairs = 0;    ///< unique pairs served by strips
-    std::uint64_t cyclic_pairs = 0;   ///< unique pairs served per-pair
-    std::uint64_t duplicate_pairs = 0;  ///< in-batch duplicates coalesced
+    std::uint64_t cyclic_pairs = 0;   ///< pairs that ran a kernel (misses)
     std::uint64_t topk_sweeps = 0;    ///< row sweeps executed
     std::uint64_t duplicate_topk = 0;   ///< top-k served from a shared sweep
     std::uint64_t kway_queries = 0;   ///< k-way / rule-score queries served
@@ -331,9 +332,9 @@ class QueryEngine {
   void drain() const;
 
   /// The naive reference path: executes one query synchronously on the
-  /// calling thread via the per-pair cyclic kernel against the current
-  /// state — no queue, no batch, no cache, no strips. Bit-identical to the
-  /// batched answers. Read kinds only (REPRO_CHECK on mutations — use
+  /// calling thread against the current state — no queue, no batch, no
+  /// cache, no row sweep, no k-way planner. Bit-identical to the batched
+  /// answers. Read kinds only (REPRO_CHECK on mutations — use
   /// execute_serial for those).
   Result execute_one(const Query& q) const;
 
@@ -391,12 +392,6 @@ class QueryEngine {
   Stats stats() const;
 
  private:
-  struct PairPlan {
-    std::uint32_t row_s;  ///< sorted index of the narrower map
-    std::uint32_t col_s;  ///< sorted index of the wider map
-    std::uint32_t req;    ///< index into the current batch
-  };
-
   /// Mutex-guarded token bucket; only touched when admit_rate > 0.
   class TokenGate {
    public:
@@ -426,33 +421,30 @@ class QueryEngine {
   /// Cost-planned k-way execution on the worker thread (arena scratch):
   /// operands ordered by snapshot-stored support, each step either a
   /// galloping list merge or a batmap counter sweep. Exact for both kinds.
-  /// Queries touching a dirty set divert to the delta-merged list path.
+  /// Queries touching a dirty set fold effective element lists instead.
   void run_kway(const ServingState& st, Request& r, Stats& local,
                 const DeltaView& dview);
   /// The planner core: exact |∩ ids| over deduplicated operands, worker
   /// thread only (scratch comes from the batch arena). The naive path
-  /// (execute_on) instead runs a brute-force galloping merge in protocol
-  /// order, so batched-vs-naive fingerprint parity cross-checks the planner
-  /// against an independent implementation.
+  /// (execute_on) instead folds element lists in protocol order, so
+  /// batched-vs-naive fingerprint parity cross-checks the planner against
+  /// an independent implementation.
   std::uint64_t kway_count(const ServingState& st,
                            std::span<const std::uint32_t> ids, Stats& local);
-  /// K-way over delta-merged element lists (any operand dirty): gallop
-  /// merges over the effective lists, smallest first. Worker thread only.
-  std::uint64_t kway_count_delta(const ServingState& st,
-                                 std::span<const std::uint32_t> ids,
-                                 const DeltaView& dview, Stats& local);
-  /// Exact pair answer under a delta view: base kernel + correction; for
-  /// kSupport the effective rows' failure patch is subtracted so the raw
-  /// count matches an offline rebuild. Shared by the batched, straggler and
-  /// naive paths — bit-identity by construction.
-  std::uint64_t delta_pair_value(const Snapshot& snap, const DeltaView& dview,
-                                 const Query& q, std::uint64_t epoch) const;
-  /// Applies one mutation request on the worker thread and finishes it
-  /// (kDone / kError / kOverload).
-  void execute_mutation(const ServingStateRef& cur, Request& r, Stats& local);
-  /// Records one write into the delta layer; returns ops recorded. Throws
-  /// DeltaFullError over budget.
-  std::uint64_t execute_write(const ServingState& st, const Query& q);
+  /// The one pair answer (kIntersect exact, kSupport raw) of every path:
+  /// the snapshot's layout kernel for clean rows; under pending ops, base
+  /// kernel + delta correction, and for kSupport the effective rows'
+  /// failure patch is subtracted so the raw count matches an offline
+  /// rebuild.
+  std::uint64_t pair_value(const ServingState& st, const DeltaView& dview,
+                           const Query& q) const;
+  /// The one mutation routine (batched and serial): FLUSH runs the flush
+  /// hook, or without one succeeds only when nothing is pending; A/D record
+  /// into the delta layer. Returns the reply value; throws CheckError on an
+  /// invalid write or failed FLUSH and DeltaFullError over budget.
+  std::uint64_t mutate(const ServingState& st, const Query& q);
+  /// Every read kind against one state, on the calling thread: stragglers,
+  /// execute_one and execute_serial.
   Result execute_on(const ServingState& st, const Query& q) const;
   /// Terminal transition for a queued request: releases the epoch pin,
   /// retires the in-flight count, and wakes the waiter.

@@ -17,7 +17,16 @@ namespace repro {
 /// location so tests can assert on failure modes.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  explicit CheckError(const std::string& what) : CheckError(what, what) {}
+  CheckError(const std::string& what, const std::string& reason)
+      : std::logic_error(what), reason_(reason) {}
+  /// what() without the source location: the check's message, or the
+  /// failed expression when it has none. The same bytes in every build, so
+  /// it is what a server may send to clients.
+  const std::string& reason() const { return reason_; }
+
+ private:
+  std::string reason_;
 };
 
 namespace detail {
@@ -26,7 +35,8 @@ namespace detail {
   std::ostringstream os;
   os << "CHECK failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(),
+                   msg.empty() ? std::string("CHECK failed: ") + expr : msg);
 }
 }  // namespace detail
 

@@ -5,9 +5,11 @@
 // ASan+UBSan CI job and the dedicated chaos-smoke job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -274,6 +276,124 @@ TEST(ChaosTest, PinnedStragglersServeTheirAdmittedEpoch) {
   EXPECT_GE(st.pinned_fallbacks, 1u);
   EXPECT_EQ(st.errors, 0u);
   EXPECT_EQ(mgr.retired_resident(), 0u);  // epoch 1 unmapped after drain
+  std::remove(p1.c_str());
+  std::remove(p2.c_str());
+}
+
+/// What `store` answers to read query `q` — the offline oracle for every
+/// read kind (k-way kinds fold sorted element lists in protocol order).
+Result store_answer(const batmap::BatmapStore& store, const Query& q) {
+  Result res;
+  if (q.kind == QueryKind::kIntersect || q.kind == QueryKind::kSupport) {
+    res.value = q.kind == QueryKind::kIntersect
+                    ? store.intersection_size(q.a, q.b)
+                    : store.raw_count(q.a, q.b);
+  } else if (q.kind == QueryKind::kTopK) {
+    for (std::uint32_t id = 0; id < store.size(); ++id) {
+      if (id == q.a) continue;
+      res.topk_count = topk_insert(res.topk, res.topk_count, q.k, id,
+                                   store.intersection_size(q.a, id));
+    }
+    res.value = res.topk_count;
+  } else {
+    const auto first = store.elements(q.ids[0]);
+    std::vector<std::uint64_t> cur(first.begin(), first.end());
+    for (std::uint32_t i = 1; i < q.nids; ++i) {
+      if (q.kind == QueryKind::kRuleScore && i + 1 == q.nids) {
+        res.aux = cur.size();
+      }
+      const auto other = store.elements(q.ids[i]);
+      std::vector<std::uint64_t> next;
+      std::set_intersection(cur.begin(), cur.end(), other.begin(),
+                            other.end(), std::back_inserter(next));
+      cur = std::move(next);
+    }
+    res.value = cur.size();
+  }
+  return res;
+}
+
+bool same_answer(const Result& x, const Result& y) {
+  if (x.value != y.value || x.aux != y.aux || x.topk_count != y.topk_count) {
+    return false;
+  }
+  for (std::uint32_t i = 0; i < x.topk_count; ++i) {
+    if (x.topk[i].id != y.topk[i].id || x.topk[i].count != y.topk[i].count) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ChaosTest, PinnedStragglersOfEveryReadKindAnswerFromTheirEpoch) {
+  FaultGuard guard;
+  // Epochs 1 and 2 hold different data, so an answer computed against the
+  // wrong epoch cannot match epoch 1's oracle. A small universe keeps the
+  // k-way and top-k answers far from zero.
+  const auto store1 = make_store(400, 32, 19);
+  const auto store2 = make_store(400, 32, 23);
+  const std::string p1 = snap_file(store1, "kinds", 1);
+  const std::string p2 = snap_file(store2, "kinds", 2);
+
+  SnapshotManager mgr(Snapshot::open(p1));
+  QueryEngine engine(mgr, {});
+
+  std::vector<Query> queries;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    queries.push_back({QueryKind::kIntersect, i, i + 5, 0});
+    queries.push_back({QueryKind::kSupport, i, i + 9, 0});
+    queries.push_back({QueryKind::kTopK, i, 0, 3 + i});
+    Query kway{QueryKind::kKway};
+    kway.nids = 3;
+    kway.ids[0] = i;
+    kway.ids[1] = i + 7;
+    kway.ids[2] = i + 13;
+    queries.push_back(kway);
+    kway.kind = QueryKind::kRuleScore;
+    queries.push_back(kway);
+  }
+  // Every kind has at least one query whose two epochs disagree.
+  for (const QueryKind kind :
+       {QueryKind::kIntersect, QueryKind::kSupport, QueryKind::kTopK,
+        QueryKind::kKway, QueryKind::kRuleScore}) {
+    bool differs = false;
+    for (const Query& q : queries) {
+      differs = differs || (q.kind == kind &&
+                            !same_answer(store_answer(store1, q),
+                                         store_answer(store2, q)));
+    }
+    EXPECT_TRUE(differs) << static_cast<int>(kind);
+  }
+
+  // The stall-and-swap schedule of the test above, with every read kind.
+  util::fault::configure("worker_stall_ms=25");
+  Request head;
+  head.query = {QueryKind::kIntersect, 0, 1, 0};
+  engine.submit(head);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::vector<Request> reqs(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    reqs[i].query = queries[i];
+    ASSERT_EQ(engine.try_submit_ex(reqs[i]), Admit::kOk);
+  }
+  std::thread swapper([&] { mgr.swap(p2, /*wait_drain=*/true); });
+  EXPECT_TRUE(QueryEngine::wait(head));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(QueryEngine::wait(reqs[i]));
+    EXPECT_TRUE(
+        same_answer(reqs[i].result(), store_answer(store1, queries[i])))
+        << "query " << i << " kind " << static_cast<int>(queries[i].kind);
+  }
+  swapper.join();
+  util::fault::configure("");
+  engine.drain();
+  EXPECT_TRUE(settled(engine, [&](const QueryEngine::Stats& st) {
+    return st.queries >= queries.size() + 1;
+  }));
+  const auto st = engine.stats();
+  EXPECT_GE(st.pinned_fallbacks, 1u);
+  EXPECT_EQ(st.errors, 0u);
+  EXPECT_EQ(mgr.retired_resident(), 0u);
   std::remove(p1.c_str());
   std::remove(p2.c_str());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "baselines/apriori.hpp"
 #include "baselines/fpgrowth.hpp"
@@ -34,22 +35,22 @@ void expect_equal(const std::vector<MinedItemset>& got,
 
 struct Param {
   std::uint32_t n;
-  // gtest prints this struct as a byte dump and ctest names each case after
-  // it. These bytes were padding, which printed whatever the stack held, so
-  // the names changed between builds. `name_word` spells out the bytes each
-  // case's name was first recorded with, which keeps the names fixed;
-  // zeroing it would rename the cases whose recorded bytes are not zero.
-  std::uint32_t name_word;
   double density;
   std::uint64_t total;
   std::uint32_t minsup;
-  std::uint32_t tail_word = 0;
 };
+
+/// The case name, e.g. "items12_density35pct_total600_minsup5".
+std::string param_name(const Param& p) {
+  return "items" + std::to_string(p.n) + "_density" +
+         std::to_string(static_cast<int>(p.density * 100 + 0.5)) + "pct_total" +
+         std::to_string(p.total) + "_minsup" + std::to_string(p.minsup);
+}
 
 class ItemsetP : public ::testing::TestWithParam<Param> {};
 
 TEST_P(ItemsetP, AgreesWithApriori) {
-  const auto [n, name_word, density, total, minsup, tail_word] = GetParam();
+  const auto [n, density, total, minsup] = GetParam();
   mining::BernoulliSpec spec;
   spec.num_items = n;
   spec.density = density;
@@ -75,13 +76,13 @@ TEST_P(ItemsetP, AgreesWithApriori) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ItemsetP,
-    ::testing::Values(Param{12, 0x7465736D, 0.35, 600, 5},
-                      Param{10, 0, 0.5, 800, 10},
-                      Param{20, 0xEFD00000, 0.25, 1500, 8},
-                      Param{8, 0, 0.6, 400, 3},
-                      Param{30, 0xCAD00000, 0.1, 1000, 4}));
+INSTANTIATE_TEST_SUITE_P(Sweep, ItemsetP,
+                         ::testing::Values(Param{12, 0.35, 600, 5},
+                                           Param{10, 0.5, 800, 10},
+                                           Param{20, 0.25, 1500, 8},
+                                           Param{8, 0.6, 400, 3},
+                                           Param{30, 0.1, 1000, 4}),
+                         [](const auto& info) { return param_name(info.param); });
 
 TEST(ItemsetMiner, AgreesWithFpGrowthDeep) {
   mining::BernoulliSpec spec;

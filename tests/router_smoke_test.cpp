@@ -6,6 +6,8 @@
 //    batmap_serve over the unsharded corpus must be byte-identical,
 //    including the rolled-up FINGERPRINT (STATS excluded: shard count
 //    and router counters differ by design).
+//  * A fleet at default flags answers cross-shard queries whose hops
+//    carry several KiB of elements exactly like a single server.
 //  * Zero dropped-but-acked queries across a mid-load RELOAD that
 //    stalls one shard's snapshot swap (REPRO_FAULT=swap_stall_ms):
 //    every concurrent client must get exactly one reply per request,
@@ -158,6 +160,41 @@ grep '^FP' oracle.txt
   // folded fingerprint that all three topologies agreed on.
   EXPECT_EQ(count_of(res.out, "FP "), 1u) << res.out;
   EXPECT_EQ(count_of(res.out, "ERR UNAVAILABLE"), 0u) << res.out;
+}
+
+// Every process at its default flags: cross-shard hops carry whole element
+// lists (~1000 elements, several KiB per line here), which the shards must
+// accept, so the router's answers equal a single server's.
+TEST(RouterSmokeTest, DefaultFlagFleetServesLongCrossShardHops) {
+  std::string sh = prelude("longhops");
+  sh += R"SH(
+$CLI gen --items 20 --total 20000 --density 0.5 --out big.fimi >/dev/null
+$CLI build --fimi big.fimi --out big.store >/dev/null
+$CLI snapshot --store big.store --out big.snap --epoch 1 >/dev/null
+$CLI shard-split --store big.store --shards 2 --out-prefix big --epoch 1 >/dev/null
+{
+  for a in 0 1 2 3; do for b in 1 2 3 4 5 6 7; do
+    echo "I $a $b"; echo "S $a $b"
+  done; done
+  echo "T 0 3"; echo "T 1 3"; echo "T 2 5"
+  echo "K 3 0 1 2"; echo "R 4 0 1 2 3"
+  echo "FINGERPRINT"; echo "QUIT"
+} > big.txt
+$SERVE --snapshot big.snap < big.txt 2>/dev/null > single.txt
+for s in 0 1; do
+  $SERVE --snapshot big.$s.snap --port 0 < /dev/null > b$s.out 2>/dev/null &
+  echo $! > b$s.pid
+done
+ports=$(await_port b0),$(await_port b1) || exit 1
+$ROUTER --shards $ports < big.txt 2>/dev/null > routed.txt
+echo "errors=$(grep -c '^ERR' routed.txt)"
+diff -u single.txt routed.txt && echo LONGHOPS-OK
+)SH";
+  std::ofstream("/tmp/router_smoke_longhops.sh") << sh;
+  const auto res = run("bash /tmp/router_smoke_longhops.sh");
+  ASSERT_EQ(res.exit_code, 0) << res.out;
+  EXPECT_EQ(count_of(res.out, "errors=0"), 1u) << res.out;
+  EXPECT_EQ(count_of(res.out, "LONGHOPS-OK"), 1u) << res.out;
 }
 
 TEST(RouterSmokeTest, MidLoadReloadDropsNoAckedQueries) {

@@ -380,6 +380,15 @@ TEST(EngineHandlerTest, ShardVerbsAreCountedApartFromQueries) {
   c.send("QUIT");
 }
 
+TEST(EngineHandlerTest, ReloadRejectionRepliesItsReasonWithoutSourcePaths) {
+  const batmap::BatmapStore store = make_store(3000, 24, 7);
+  EngineServer srv(store, all_rows(store.size()), "reload");
+  const std::string reply = srv.handler->reload("/nonexistent");
+  EXPECT_EQ(reply, "ERR RELOAD cannot open snapshot /nonexistent");
+  EXPECT_EQ(reply.find(".cpp"), std::string::npos) << reply;
+  EXPECT_EQ(srv.mgr->epoch(), 1u);  // the old snapshot keeps serving
+}
+
 /// A two-shard fleet cut from one store, as batmap_cli shard-split does.
 struct Fleet {
   explicit Fleet(QueryEngine::Options shard1_opt = {})

@@ -110,7 +110,9 @@ int main(int argc, char** argv) {
   const std::uint64_t deadline_ms = args.u64(
       "deadline-ms", 0, "default per-request deadline (0 = none)");
   const std::uint64_t max_line =
-      args.u64("max-line", 4096, "longest accepted request line, bytes");
+      args.u64("max-line", 1048576,
+               "longest accepted request line, bytes (router hops carry "
+               "element lists)");
   const double admit_rate = args.f64(
       "admit-rate", 0.0, "token-gate admission rate, queries/s (0 = off)");
   const double admit_burst =
