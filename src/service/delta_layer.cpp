@@ -11,6 +11,11 @@ namespace repro::service {
 
 namespace {
 
+/// Append-tail length before it seals into a sorted run.
+constexpr std::size_t kTailLimit = 64;
+/// Sorted runs per set before they merge into one.
+constexpr std::size_t kMaxRuns = 4;
+
 std::uint64_t now_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -140,10 +145,7 @@ std::span<const DeltaOp> DeltaView::ops(std::uint32_t set) const {
 
 // ---- DeltaLayer -------------------------------------------------------------
 
-DeltaLayer::DeltaLayer(Options opt) : opt_(opt) {
-  REPRO_CHECK_MSG(opt_.tail_limit >= 1, "tail_limit must be positive");
-  REPRO_CHECK_MSG(opt_.max_runs >= 1, "max_runs must be positive");
-}
+DeltaLayer::DeltaLayer(Options opt) : opt_(opt) {}
 
 void DeltaLayer::ensure_size_locked(std::uint32_t set) const {
   if (set >= sets_.size()) sets_.resize(static_cast<std::size_t>(set) + 1);
@@ -156,7 +158,7 @@ void DeltaLayer::seal_tail_locked(SetDelta& sd) {
   std::copy(sd.tail.begin(), sd.tail.end(), mem.begin());
   sd.runs.push_back({mem.data(), static_cast<std::uint32_t>(sd.tail.size())});
   sd.tail.clear();
-  if (sd.runs.size() >= opt_.max_runs) {
+  if (sd.runs.size() >= kMaxRuns) {
     std::vector<DeltaOp> all;
     for (const Run& r : sd.runs) all.insert(all.end(), r.data, r.data + r.n);
     sort_keep_last(all);  // runs are appended oldest-first: still latest-wins
@@ -233,7 +235,7 @@ std::uint64_t DeltaLayer::apply(std::uint32_t set,
     SetDelta& sd = sets_[set];
     sd.tail.push_back({e, tombstone});
     ++recorded;
-    if (sd.tail.size() >= opt_.tail_limit) seal_tail_locked(sd);
+    if (sd.tail.size() >= kTailLimit) seal_tail_locked(sd);
   }
   if (recorded > 0) {
     SetDelta& sd = sets_[set];

@@ -5,9 +5,9 @@
 // read-only artifact. Writes (`A`/`D` protocol verbs) land in a DeltaLayer:
 // per-set op buffers holding (element, tombstone) records with latest-wins
 // semantics. Each set keeps a small append tail plus arena-backed sorted
-// runs (the tail seals into a run at tail_limit; runs merge when max_runs
-// accumulate), so a hot set's pending ops stay sorted and deduplicated
-// without per-write allocation churn.
+// runs (the tail seals into a run at 64 ops; four runs merge into one), so
+// a hot set's pending ops stay sorted and deduplicated without per-write
+// allocation churn.
 //
 // Reads merge base + delta per query. The query engine asks for a DeltaView
 // — an immutable per-batch snapshot of every pending op visible at the
@@ -137,10 +137,6 @@ class DeltaView {
 class DeltaLayer {
  public:
   struct Options {
-    /// Append-tail length before it seals into a sorted run.
-    std::size_t tail_limit = 64;
-    /// Sorted runs per set before they merge into one.
-    std::size_t max_runs = 4;
     /// Memory budget; apply() throws DeltaFullError past it.
     std::size_t max_bytes = 64ull << 20;
     /// Cuckoo options for effective-row rebuilds and compaction — must
@@ -251,7 +247,7 @@ class DeltaLayer {
     return !f.committed || epoch < f.published_epoch;
   }
   void ensure_size_locked(std::uint32_t set) const;
-  /// Seals the tail into a run (and merges runs at max_runs).
+  /// Seals the tail into a run (and merges the runs at kMaxRuns).
   void seal_tail_locked(SetDelta& sd);
   /// All ops of `set` visible at `epoch`, merged latest-wins into `out`.
   void merge_set_ops_locked(std::uint32_t set, std::uint64_t epoch,

@@ -369,6 +369,14 @@ void QueryEngine::execute_batch(std::size_t count) {
   const DeltaView dview = delta_.view_at(cur_epoch);
   const bool delta_active = dview.any();
 
+  // Every completion goes through here: the batch's counters so far merge
+  // into stats_ before finish() wakes the request, so a STATS sent after a
+  // reply always counts it, and no request waits on the rest of its batch.
+  const auto complete = [&](Request& r, std::uint32_t state) {
+    publish(local);
+    finish(r, state);
+  };
+
   auto topks = arena_.alloc_array<std::uint32_t>(count);
   std::size_t n_topk = 0;
   auto kways = arena_.alloc_array<std::uint32_t>(count);
@@ -379,7 +387,7 @@ void QueryEngine::execute_batch(std::size_t count) {
     if (deadline_expired(r.query, batch_now)) {
       ++local.queries;
       ++local.timeouts;
-      finish(r, Request::kTimeout);
+      complete(r, Request::kTimeout);
       continue;
     }
     if (is_mutation(r.query.kind)) {
@@ -390,13 +398,13 @@ void QueryEngine::execute_batch(std::size_t count) {
       ++local.queries;
       try {
         r.result_.value = mutate(*cur, r.query);
-        finish(r, Request::kDone);
+        complete(r, Request::kDone);
       } catch (const DeltaFullError&) {
         delta_shed_.fetch_add(1, std::memory_order_relaxed);
-        finish(r, Request::kOverload);
+        complete(r, Request::kOverload);
       } catch (const CheckError&) {
         ++local.errors;
-        finish(r, Request::kError);
+        complete(r, Request::kError);
       }
       continue;
     }
@@ -408,17 +416,17 @@ void QueryEngine::execute_batch(std::size_t count) {
       ++local.pinned_fallbacks;
       if (!valid(st, r.query)) {
         ++local.errors;
-        finish(r, Request::kError);
+        complete(r, Request::kError);
       } else {
         r.result_ = execute_on(st, r.query);
-        finish(r, Request::kDone);
+        complete(r, Request::kDone);
       }
       continue;
     }
     if (!valid(*cur, r.query)) {
       ++local.queries;
       ++local.errors;
-      finish(r, Request::kError);
+      complete(r, Request::kError);
       continue;
     }
     if (is_kway(r.query.kind)) {
@@ -441,7 +449,7 @@ void QueryEngine::execute_batch(std::size_t count) {
         r.result_ = *hit;
         ++local.queries;
         ++local.cache_hits;
-        finish(r, Request::kDone);
+        complete(r, Request::kDone);
         continue;
       }
     }
@@ -456,7 +464,7 @@ void QueryEngine::execute_batch(std::size_t count) {
     }
     ++local.queries;
     ++local.cyclic_pairs;
-    finish(r, Request::kDone);
+    complete(r, Request::kDone);
   }
 
   // Top-k queries sharing a row coalesce into one sweep: sort by (a, k
@@ -473,13 +481,14 @@ void QueryEngine::execute_batch(std::size_t count) {
   while (t < n_topk) {
     Request& lead = *batch_[topks[t]];
     run_topk(*cur, lead, dview);
+    ++local.queries;
     ++local.topk_sweeps;
     const Result lead_res = lead.result_;  // copy before handing back
     const Query lead_query = lead.query;
     if (!delta_active && cache_.capacity() > 0) {
       cache_.insert(cache_key(cur_epoch, lead_query), lead_res);
     }
-    finish(lead, Request::kDone);
+    complete(lead, Request::kDone);
     std::size_t u = t + 1;
     for (; u < n_topk && batch_[topks[u]]->query.a == lead_query.a; ++u) {
       Request& r = *batch_[topks[u]];
@@ -490,10 +499,10 @@ void QueryEngine::execute_batch(std::size_t count) {
       if (!delta_active && cache_.capacity() > 0) {
         cache_.insert(cache_key(cur_epoch, r.query), r.result_);
       }
+      ++local.queries;
       ++local.duplicate_topk;
-      finish(r, Request::kDone);
+      complete(r, Request::kDone);
     }
-    local.queries += u - t;
     t = u;
   }
 
@@ -502,11 +511,13 @@ void QueryEngine::execute_batch(std::size_t count) {
   for (std::size_t i = 0; i < n_kway; ++i) {
     Request& r = *batch_[kways[i]];
     run_kway(*cur, r, local, dview);
-    finish(r, Request::kDone);
+    ++local.queries;
+    ++local.kway_queries;
+    complete(r, Request::kDone);
   }
-  local.queries += n_kway;
-  local.kway_queries += n_kway;
+}
 
+void QueryEngine::publish(Stats& local) {
   std::lock_guard lock(stats_mu_);
   stats_.queries += local.queries;
   stats_.errors += local.errors;
@@ -529,6 +540,7 @@ void QueryEngine::execute_batch(std::size_t count) {
   stats_.cache_evictions = cache_.evictions();
   stats_.arena_reserved_bytes = arena_.bytes_reserved();
   stats_.arena_blocks = arena_.block_count();
+  local = Stats{};
 }
 
 ResultCache<Result>::Key QueryEngine::cache_key(std::uint64_t epoch,
@@ -652,9 +664,7 @@ std::uint64_t QueryEngine::kway_count(const ServingState& st,
   // lists and is always exact. Counter sweeps also read packed batmap
   // words, so in a mixed-layout snapshot any non-batmap operand (e.g. a
   // sorted-list row) enters the plan as a free list operand instead.
-  const KwayMode mode = opt_.kway_mode;
-  const bool base_clean = mode != KwayMode::kForceList &&
-                          snap.failures(base).empty() &&
+  const bool base_clean = snap.failures(base).empty() &&
                           snap.layout(base) == core::RowLayout::kBatmap;
   const std::uint64_t base_slots = snap.words(base).size() * 4;
   auto lists = arena_.alloc_array<std::uint32_t>(order.size());
@@ -677,12 +687,12 @@ std::uint64_t QueryEngine::kway_count(const ServingState& st,
       // its marginal cost beats the merge; whether the candidates run is
       // settled jointly below, because they share the fixed costs.
       //
-      // The per-gallop constant was 2 until the --calibrate-kway sweep
-      // (service_throughput) showed the model conservative at mid
-      // operand-size ratios (4–16): it kept choosing list merges where
-      // measured sweeps ran ~10–15% faster. One extra touch per gallop —
-      // the binary-search refinement probe the old constant ignored —
-      // moves the modeled crossover to match the measured one;
+      // The per-gallop constant was 2 until a calibration sweep (each
+      // strategy forced, over operand-size ratios x1..x32) showed the model
+      // conservative at mid ratios (4–16): it kept choosing list merges
+      // where measured sweeps ran ~10–15% faster. One extra touch per
+      // gallop — the binary-search refinement probe the old constant
+      // ignored — moves the modeled crossover to match the measured one;
       // kway_diff_test pins the new switch point.
       const std::uint64_t other_slots = snap.words(id).size() * 4;
       const std::uint64_t other_size = snap.elements(id).size();
@@ -690,13 +700,7 @@ std::uint64_t QueryEngine::kway_count(const ServingState& st,
       const std::uint64_t list_cost =
           driver * (3 + std::bit_width(ratio));
       const std::uint64_t sweep_cost = std::max(base_slots, other_slots) / 4;
-      if (mode == KwayMode::kForceSweep) {
-        // Calibration override: take every eligible sweep regardless of the
-        // model. Gain still accumulates (clamped at 0 per step) so the
-        // joint-demotion gate below cannot undo the force.
-        sweep = true;
-        if (sweep_cost < list_cost) sweep_gain += list_cost - sweep_cost;
-      } else if (sweep_cost < list_cost) {
+      if (sweep_cost < list_cost) {
         sweep = true;
         sweep_gain += list_cost - sweep_cost;
       }
@@ -710,8 +714,7 @@ std::uint64_t QueryEngine::kway_count(const ServingState& st,
   // run. Take the sweep set only if its aggregate saving covers that;
   // otherwise demote every candidate to a list merge.
   const std::uint64_t sweep_fixed = base_slots / 4 + 2 * driver;
-  if (mode != KwayMode::kForceSweep && n_sweep > 0 &&
-      sweep_gain <= sweep_fixed) {
+  if (n_sweep > 0 && sweep_gain <= sweep_fixed) {
     for (std::size_t i = 0; i < n_sweep; ++i) lists[n_list++] = sweeps[i];
     n_sweep = 0;
   }

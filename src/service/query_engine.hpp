@@ -57,7 +57,7 @@
 // Failure patching: kIntersect results are exact (cyclic sweep + the
 // failure-list correction); kSupport returns the raw unpatched sweep count.
 // Batched, naive (execute_one) and offline answers are bit-identical — the
-// differential test and the service_throughput fingerprints enforce this.
+// differential tests and serving_parity_test's fingerprints enforce this.
 #pragma once
 
 #include <atomic>
@@ -96,17 +96,6 @@ enum class QueryKind : std::uint8_t {
   kAdd = 5,
   kDelete = 6,
   kFlush = 7,
-};
-
-/// Planner override for the k-way cost model — the calibration arm of
-/// service_throughput forces each strategy to measure the real crossover
-/// against the model's prediction. kAuto is the production setting.
-enum class KwayMode : std::uint8_t {
-  kAuto = 0,
-  kForceList = 1,   ///< galloping list merges only
-  /// Counter sweeps wherever exactness allows (failure-free batmap rows);
-  /// ineligible operands still run as list merges.
-  kForceSweep = 2,
 };
 
 /// Top-k width cap: results are fixed-size so completion slots never
@@ -246,8 +235,6 @@ class QueryEngine {
     /// and the builder options effective-row rebuilds must share with the
     /// offline build).
     DeltaLayer::Options delta{};
-    /// K-way planner override; kAuto in production (see KwayMode).
-    KwayMode kway_mode = KwayMode::kAuto;
   };
 
   struct Stats {
@@ -413,6 +400,9 @@ class QueryEngine {
   void init();
   void worker_loop();
   void execute_batch(std::size_t count);
+  /// Merges the worker's pending counters into stats_ (and refreshes the
+  /// worker-owned gauges), then zeroes `local`.
+  void publish(Stats& local);
   /// Canonical cache key under `epoch`: pair kinds are keyed on (min, max)
   /// since their counts are symmetric; top-k on (a, k).
   static ResultCache<Result>::Key cache_key(std::uint64_t epoch,

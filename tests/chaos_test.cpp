@@ -53,17 +53,6 @@ std::string snap_file(const batmap::BatmapStore& store, const char* tag,
   return path;
 }
 
-/// Stats are published after a batch's requests complete, so counters can
-/// trail wait() by one merge; poll until `pred` holds (or ~2 s pass).
-template <typename Pred>
-testing::AssertionResult settled(const QueryEngine& engine, Pred pred) {
-  for (int i = 0; i < 2000; ++i) {
-    if (pred(engine.stats())) return testing::AssertionSuccess();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return testing::AssertionFailure() << "stats never settled";
-}
-
 // ---- Fault spec -------------------------------------------------------------
 
 TEST(FaultSpecTest, ParsesSitesValuesAndBudgets) {
@@ -227,8 +216,7 @@ TEST(ChaosTest, QueuedRequestTimesOutUnderWorkerStall) {
   EXPECT_TRUE(QueryEngine::wait(warm));  // undeadlined work still completes
   util::fault::configure("");
   engine.drain();
-  EXPECT_TRUE(settled(
-      engine, [](const QueryEngine::Stats& st) { return st.timeouts >= 1; }));
+  EXPECT_GE(engine.stats().timeouts, 1u);
 }
 
 TEST(ChaosTest, PinnedStragglersServeTheirAdmittedEpoch) {
@@ -269,10 +257,8 @@ TEST(ChaosTest, PinnedStragglersServeTheirAdmittedEpoch) {
   swapper.join();
   util::fault::configure("");
   engine.drain();
-  EXPECT_TRUE(settled(engine, [](const QueryEngine::Stats& st) {
-    return st.queries >= static_cast<std::uint64_t>(kStragglers) + 1;
-  }));
   const auto st = engine.stats();
+  EXPECT_GE(st.queries, static_cast<std::uint64_t>(kStragglers) + 1);
   EXPECT_GE(st.pinned_fallbacks, 1u);
   EXPECT_EQ(st.errors, 0u);
   EXPECT_EQ(mgr.retired_resident(), 0u);  // epoch 1 unmapped after drain
@@ -387,10 +373,8 @@ TEST(ChaosTest, PinnedStragglersOfEveryReadKindAnswerFromTheirEpoch) {
   swapper.join();
   util::fault::configure("");
   engine.drain();
-  EXPECT_TRUE(settled(engine, [&](const QueryEngine::Stats& st) {
-    return st.queries >= queries.size() + 1;
-  }));
   const auto st = engine.stats();
+  EXPECT_GE(st.queries, queries.size() + 1);
   EXPECT_GE(st.pinned_fallbacks, 1u);
   EXPECT_EQ(st.errors, 0u);
   EXPECT_EQ(mgr.retired_resident(), 0u);
@@ -449,10 +433,8 @@ TEST(ChaosTest, HotSwapUnderLoadStaysExactAndDrains) {
   engine.drain();
 
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_TRUE(settled(engine, [](const QueryEngine::Stats& st) {
-    return st.epoch_rollovers >= 1;
-  }));
   const auto st = engine.stats();
+  EXPECT_GE(st.epoch_rollovers, 1u);
   EXPECT_EQ(st.errors, 0u);
   EXPECT_EQ(mgr.swaps(), paths.size() - 1);
   EXPECT_EQ(mgr.retired_resident(), 0u);
@@ -478,17 +460,15 @@ TEST(ChaosTest, CacheEntriesNeverCrossEpochs) {
   };
   ask();  // miss: fills the epoch-1 entry
   ask();  // hit
-  ASSERT_TRUE(settled(
-      engine, [](const QueryEngine::Stats& st) { return st.queries >= 2; }));
   const auto before = engine.stats();
+  ASSERT_EQ(before.queries, 2u);
   EXPECT_GE(before.cache_hits, 1u);
 
   mgr.swap(p2);
   ask();  // epoch 2: the rolled-over cache must miss, then refill
   ask();  // hit under the new epoch — capacity fully reusable
-  ASSERT_TRUE(settled(
-      engine, [](const QueryEngine::Stats& st) { return st.queries >= 4; }));
   const auto after = engine.stats();
+  ASSERT_EQ(after.queries, 4u);
   EXPECT_GE(after.epoch_rollovers, 1u);
   EXPECT_EQ(after.cache_misses, before.cache_misses + 1);
   EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
@@ -579,9 +559,8 @@ TEST(ChaosTest, FailedCompactEmitKeepsOldEpochServingByteIdentically) {
   EXPECT_EQ(rig.compactor.compact_now(), 2u);
   EXPECT_EQ(rig.mgr.epoch(), 2u);
   EXPECT_EQ(rig.ask(0, 1), merged);
-  EXPECT_TRUE(settled(rig.engine, [](const QueryEngine::Stats& st) {
-    return st.delta_elements == 0 && st.compactions == 1;
-  }));
+  EXPECT_EQ(rig.engine.stats().delta_elements, 0u);
+  EXPECT_EQ(rig.engine.stats().compactions, 1u);
   std::remove(base.c_str());
   std::remove((prefix + ".e2").c_str());
 }
@@ -628,9 +607,8 @@ TEST(ChaosTest, DeltaOomShedsWritesTypedAndLeavesReadsAlone) {
   util::fault::configure("");
   EXPECT_EQ(rig.write(0, 4997, /*del=*/false, &out), 1u);
   EXPECT_EQ(out, Request::Outcome::kOk);
-  EXPECT_TRUE(settled(rig.engine, [](const QueryEngine::Stats& st) {
-    return st.delta_shed == 1 && st.delta_writes == 1;
-  }));
+  EXPECT_EQ(rig.engine.stats().delta_shed, 1u);
+  EXPECT_EQ(rig.engine.stats().delta_writes, 1u);
   std::remove(base.c_str());
 }
 

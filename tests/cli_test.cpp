@@ -103,6 +103,29 @@ TEST(CliTest, SnapshotFromStore) {
   EXPECT_EQ(run("snapshot").exit_code, 2);  // missing --store
 }
 
+// Adaptive layouts shrink a zipf (webdocs) corpus of 8000 documents by at
+// least 25% against its all-batmap snapshot; snapshot-info enforces it.
+TEST(CliTest, AutoLayoutsSaveQuarterOnWebdocsCorpus) {
+  const std::string fimi = "/tmp/batmap_cli_test_zipf.fimi";
+  const std::string store = "/tmp/batmap_cli_test_zipf.store";
+  const std::string snap = "/tmp/batmap_cli_test_zipf.snap";
+  ASSERT_EQ(run("gen --dist webdocs --docs 8000 --mean-len 30 --out " + fimi)
+                .exit_code,
+            0);
+  ASSERT_EQ(run("build --fimi " + fimi + " --out " + store).exit_code, 0);
+  ASSERT_EQ(run("snapshot --store " + store + " --out " + snap +
+                " --epoch 1 --layout auto")
+                .exit_code,
+            0);
+  const auto info =
+      run("snapshot-info --snapshot " + snap + " --assert-saving-pct 25");
+  EXPECT_EQ(info.exit_code, 0) << info.out;
+  EXPECT_NE(info.out.find("vs all-batmap:"), std::string::npos) << info.out;
+  std::remove(fimi.c_str());
+  std::remove(store.c_str());
+  std::remove(snap.c_str());
+}
+
 TEST(CliTest, PairsDeviceBackendMatchesNative) {
   const std::string fimi = "/tmp/batmap_cli_test3.fimi";
   ASSERT_EQ(

@@ -7,14 +7,17 @@
 // three must agree exactly, across seeds × delete ratios × row layouts and
 // a forced-insertion-failure case (the raw kSupport counts only match if
 // the effective-row rebuild is bit-equal to the offline cuckoo build).
-// Runs in the stress tier and in the diff-smoke CI job.
+// The compactor's background trigger gets the same offline comparison.
+// Runs in the stress tier and the tsan label, and in the diff-smoke target.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batmap/intersect.hpp"
@@ -254,6 +257,69 @@ TEST(DeltaDiffTest, ForcedFailuresStayByteIdenticalAcrossLayouts) {
     c.tag = "fail_m" + std::to_string(static_cast<int>(mode));
     run_case(c);
   }
+}
+
+// ---- the background trigger ------------------------------------------------
+
+/// Compactor::start_background is the production trigger (batmap_serve
+/// --compact-ops / --compact-age-ms). `writes` single-element adds go
+/// through the batched path and no FLUSH is ever sent: the trigger alone
+/// must advance the epoch, every answer must still equal the offline
+/// rebuild, and destroying the compactor must join its thread promptly.
+void run_background(Compactor::Options copt, int writes,
+                    const std::string& tag) {
+  SCOPED_TRACE(tag);
+  const std::uint64_t universe = 3000;
+  Model model = random_model(universe, 24, 9, 150);
+  const std::string base =
+      snap_of(model, universe, {}, LayoutMode::kAuto, /*epoch=*/1, tag);
+  SnapshotManager mgr(Snapshot::open(base));
+  std::remove(base.c_str());
+  QueryEngine engine(mgr, QueryEngine::Options{});
+  copt.out_prefix = "/tmp/batmap_delta_diff_" + tag + "_compact";
+  copt.layout = LayoutMode::kAuto;
+  copt.poll_ms = 5;
+  auto compactor = std::make_unique<Compactor>(mgr, engine.delta(), copt);
+  compactor->start_background();
+
+  Xoshiro256 rng(77);
+  Request req;
+  for (int w = 0; w < writes; ++w) {
+    req.query = Query{};
+    req.query.kind = QueryKind::kAdd;
+    req.query.a = static_cast<std::uint32_t>(rng.below(model.size()));
+    std::uint64_t e = rng.below(universe);
+    while (!model[req.query.a].insert(e).second) e = rng.below(universe);
+    req.query.ids[req.query.nids++] = static_cast<std::uint32_t>(e);
+    engine.submit(req);
+    ASSERT_TRUE(QueryEngine::wait(req));
+    ASSERT_EQ(req.result().value, 1u);
+  }
+  for (int i = 0; i < 10000 && mgr.epoch() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(mgr.epoch(), 2u) << "the trigger never compacted";
+  EXPECT_GE(engine.stats().compactions, 1u);
+  verify_checkpoint(engine, model, universe, {}, LayoutMode::kAuto, 5, tag);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  compactor.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  for (std::uint64_t e = 2; e <= mgr.epoch(); ++e) {
+    std::remove((copt.out_prefix + ".e" + std::to_string(e)).c_str());
+  }
+}
+
+TEST(CompactorTest, OpCountTriggerCompactsWithoutFlush) {
+  Compactor::Options copt;
+  copt.trigger_ops = 16;
+  run_background(copt, 16, "bg_ops");
+}
+
+TEST(CompactorTest, OpAgeTriggerCompactsWithoutFlush) {
+  Compactor::Options copt;
+  copt.max_age_ms = 30;
+  run_background(copt, 3, "bg_age");
 }
 
 }  // namespace

@@ -101,16 +101,6 @@ std::uint64_t ask(QueryEngine& engine, const Query& q) {
   return req.result().value;
 }
 
-QueryEngine::Stats settled_stats(const QueryEngine& engine,
-                                 std::uint64_t want_queries) {
-  auto st = engine.stats();
-  for (int i = 0; i < 2000 && st.queries < want_queries; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    st = engine.stats();
-  }
-  return st;
-}
-
 TEST(KwayDiffTest, PlannerMatchesBruteForceAcrossSeedsAndOrders) {
   // Seeds × size regimes; within each, every k in [2, 8] and several
   // operand orderings (all permutations when k <= 4, random shuffles
@@ -165,7 +155,8 @@ TEST(KwayDiffTest, PlannerMatchesBruteForceAcrossSeedsAndOrders) {
       const auto a = static_cast<std::uint32_t>(rng.below(fx.snap.size()));
       ASSERT_EQ(ask(engine, kway_query({a, a, a})), fx.store.elements(a).size());
       ++asked;
-      const auto st = settled_stats(engine, asked);
+      const auto st = engine.stats();
+      EXPECT_EQ(st.kway_queries, asked);
       total_queries += st.kway_queries;
       list_steps += st.kway_list_steps;
       sweep_steps += st.kway_sweep_steps;
@@ -180,8 +171,8 @@ TEST(KwayDiffTest, PlannerMatchesBruteForceAcrossSeedsAndOrders) {
 }
 
 TEST(KwayDiffTest, CostModelSwitchPointIsPinned) {
-  // Pins the planner's list-vs-sweep switch point after the
-  // --calibrate-kway retune (per-gallop constant 2 -> 3). The test
+  // Pins the planner's list-vs-sweep switch point after the calibration
+  // retune (per-gallop constant 2 -> 3). The test
   // replicates the whole plan — support-ordered fold, per-step sweep
   // candidacy, the shared fixed-cost demotion gate — from snapshot
   // introspection, then demands the planner's observed step mix
@@ -243,7 +234,7 @@ TEST(KwayDiffTest, CostModelSwitchPointIsPinned) {
   };
 
   QueryEngine engine(snap, {});
-  std::uint64_t asked = 0, flipped = 0, sweeps_seen = 0, lists_seen = 0;
+  std::uint64_t flipped = 0, sweeps_seen = 0, lists_seen = 0;
   std::uint64_t prev_list = 0, prev_sweep = 0;
   std::vector<std::vector<std::uint32_t>> shapes;
   for (std::uint32_t k = 2; k <= kMaxKwayIds; ++k) {
@@ -264,7 +255,7 @@ TEST(KwayDiffTest, CostModelSwitchPointIsPinned) {
     engine.submit(req);
     ASSERT_TRUE(QueryEngine::wait(req));
     ASSERT_EQ(req.result().value, brute_fold(store, ids).size());
-    const auto st = settled_stats(engine, ++asked);
+    const auto st = engine.stats();
     const std::uint64_t dl = st.kway_list_steps - prev_list;
     const std::uint64_t ds = st.kway_sweep_steps - prev_sweep;
     prev_list = st.kway_list_steps;
@@ -342,7 +333,8 @@ TEST(KwayDiffTest, ForcedFailuresFallBackToExactLists) {
         << "iter=" << iter;
     ++asked;
   }
-  const auto st = settled_stats(engine, asked);
+  const auto st = engine.stats();
+  EXPECT_EQ(st.kway_queries, asked);
   EXPECT_GT(st.kway_list_steps, 0u);
   EXPECT_EQ(st.kway_sweep_steps, 0u);  // sweeps need failure-free operands
 }
@@ -369,7 +361,8 @@ TEST(KwayDiffTest, MixedLayoutSnapshotMatchesBruteForce) {
         << "iter=" << iter;
     ++asked;
   }
-  const auto st = settled_stats(engine, asked);
+  const auto st = engine.stats();
+  EXPECT_EQ(st.kway_queries, asked);
   EXPECT_GT(st.kway_queries, 0u);
   EXPECT_GT(st.kway_list_steps, 0u);
 }

@@ -3,6 +3,8 @@
 // equality, tiling and symmetry, failure patching, and output modes.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/pair_miner.hpp"
 #include "mining/brute_force.hpp"
 #include "mining/datagen.hpp"
@@ -12,22 +14,22 @@ namespace {
 
 struct Param {
   std::uint32_t n;
-  // gtest prints this struct as a byte dump and ctest names each case after
-  // it. These bytes were padding, which printed whatever the stack held, so
-  // the names changed between builds. `name_word` spells out the bytes each
-  // case's name was first recorded with, which keeps the names fixed;
-  // zeroing it would rename the cases whose recorded bytes are not zero.
-  std::uint32_t name_word;
   double density;
   std::uint64_t total;
   std::uint32_t tile;
-  std::uint32_t tail_word = 0;
 };
+
+/// The case name, e.g. "items20_density20pct_total2000_tile32".
+std::string param_name(const Param& p) {
+  return "items" + std::to_string(p.n) + "_density" +
+         std::to_string(static_cast<int>(p.density * 100 + 0.5)) + "pct_total" +
+         std::to_string(p.total) + "_tile" + std::to_string(p.tile);
+}
 
 class MinerP : public ::testing::TestWithParam<Param> {};
 
 TEST_P(MinerP, NativeBackendMatchesBruteForce) {
-  const auto [n, name_word, density, total, tile, tail_word] = GetParam();
+  const auto [n, density, total, tile] = GetParam();
   mining::BernoulliSpec spec;
   spec.num_items = n;
   spec.density = density;
@@ -48,14 +50,15 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, MinerP,
     ::testing::Values(
         // Single tile, multiple groups.
-        Param{20, 0, 0.2, 2000, 32}, Param{40, 0, 0.1, 4000, 64},
+        Param{20, 0.2, 2000, 32}, Param{40, 0.1, 4000, 64},
         // Multiple tiles incl. diagonal and off-diagonal.
-        Param{50, 0, 0.15, 5000, 16}, Param{70, 0x696D5F72, 0.05, 4000, 32},
+        Param{50, 0.15, 5000, 16}, Param{70, 0.05, 4000, 32},
         // Non-multiple-of-16 item counts (padding path).
-        Param{17, 0, 0.3, 1000, 16}, Param{33, 0xEFD00000, 0.2, 2000, 16},
-        Param{100, 0, 0.02, 3000, 48},
+        Param{17, 0.3, 1000, 16}, Param{33, 0.2, 2000, 16},
+        Param{100, 0.02, 3000, 48},
         // Dense instance.
-        Param{24, 0xCAD00000, 0.6, 4000, 16}));
+        Param{24, 0.6, 4000, 16}),
+    [](const auto& info) { return param_name(info.param); });
 
 TEST(PairMinerTest, DeviceBackendMatchesNative) {
   mining::BernoulliSpec spec;

@@ -62,19 +62,6 @@ Query random_query(Xoshiro256& rng, std::uint32_t n) {
   return q;
 }
 
-/// Stats are published after the batch's requests complete, so a client
-/// that just got its answer may observe counters one batch behind; settle
-/// on the expected query count before asserting.
-QueryEngine::Stats settled_stats(const QueryEngine& engine,
-                                 std::uint64_t want_queries) {
-  auto st = engine.stats();
-  for (int i = 0; i < 2000 && st.queries < want_queries; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    st = engine.stats();
-  }
-  return st;
-}
-
 void expect_equal(const Result& got, const Result& want, const Query& q) {
   ASSERT_EQ(got.value, want.value)
       << "kind=" << static_cast<int>(q.kind) << " a=" << q.a << " b=" << q.b
@@ -107,7 +94,7 @@ TEST(QueryEngineTest, MatchesStoreOracleSingleThread) {
       ASSERT_EQ(req.result().value, fx.store.raw_count(q.a, q.b));
     }
   }
-  const auto st = settled_stats(engine, 1500);
+  const auto st = engine.stats();
   EXPECT_EQ(st.queries, 1500u);
   EXPECT_GT(st.cache_hits, 0u);
   EXPECT_GT(st.cache_evictions, 0u);
@@ -156,8 +143,7 @@ TEST(QueryEngineTest, RandomizedMultiThreadedDifferential) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const auto st = settled_stats(
-      engine, static_cast<std::uint64_t>(kClients) * kQueriesPerClient);
+  const auto st = engine.stats();
   EXPECT_EQ(st.queries, static_cast<std::uint64_t>(kClients) *
                             kQueriesPerClient);
   EXPECT_EQ(st.errors, 0u);
@@ -202,6 +188,62 @@ TEST(QueryEngineTest, RejectsInvalidQueries) {
   EXPECT_TRUE(QueryEngine::wait(req));
 }
 
+TEST(QueryEngineTest, StatsCountEveryRepliedQuery) {
+  // The worker publishes a request's counters before it wakes the
+  // request, so stats() taken right after a reply already counts it — even
+  // when a slower top-k from another client shares its batch. That client
+  // sends only T queries and the cache is off, so the k-way and pair-kernel
+  // counters are exactly this loop's own.
+  const auto fx = SnapFixture::make(20000, 300, 31, "stats");
+  QueryEngine::Options opt;
+  opt.cache_entries = 0;
+  QueryEngine engine(fx.snap, opt);
+  const auto n = static_cast<std::uint32_t>(fx.snap.size());
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> other_done{0};
+  std::thread other([&] {
+    Request req;
+    for (std::uint32_t a = 0; !done.load(); a = (a + 1) % n) {
+      req.query = {QueryKind::kTopK, a, 0, kMaxTopK};
+      engine.submit(req);
+      QueryEngine::wait(req);
+      other_done.fetch_add(1);
+    }
+  });
+  Xoshiro256 rng(8);
+  Request req;
+  std::uint64_t pairs = 0, kway = 0;
+  for (std::uint64_t i = 1; i <= 2500; ++i) {
+    Query q;
+    q.a = static_cast<std::uint32_t>(rng.below(n));
+    q.b = static_cast<std::uint32_t>(rng.below(n));
+    q.k = 1 + static_cast<std::uint32_t>(rng.below(kMaxTopK));
+    const QueryKind kinds[] = {QueryKind::kIntersect, QueryKind::kSupport,
+                               QueryKind::kTopK, QueryKind::kKway,
+                               QueryKind::kRuleScore};
+    q.kind = kinds[i % 5];
+    if (q.kind == QueryKind::kKway || q.kind == QueryKind::kRuleScore) {
+      q.nids = 3;
+      for (std::uint32_t j = 0; j < q.nids; ++j) {
+        q.ids[j] = static_cast<std::uint32_t>(rng.below(n));
+      }
+      ++kway;
+    } else if (q.kind != QueryKind::kTopK) {
+      ++pairs;
+    }
+    req.query = q;
+    engine.submit(req);
+    ASSERT_TRUE(QueryEngine::wait(req));
+    const std::uint64_t others = other_done.load();
+    const auto st = engine.stats();
+    ASSERT_GE(st.queries, i + others) << "iteration " << i;
+    ASSERT_EQ(st.kway_queries, kway) << "iteration " << i;
+    ASSERT_EQ(st.cyclic_pairs, pairs) << "iteration " << i;
+  }
+  done.store(true);
+  other.join();
+}
+
 TEST(QueryEngineTest, SteadyStateServesWithoutArenaGrowth) {
   // The "no per-query heap allocation" witness: after a warmup round, the
   // batch planner's arena footprint must not move — later batches recycle
@@ -223,10 +265,10 @@ TEST(QueryEngineTest, SteadyStateServesWithoutArenaGrowth) {
     }
   };
   drive(1, 2000);  // warmup: arena blocks grow to the high-water mark
-  const auto warm = settled_stats(engine, 2000);
+  const auto warm = engine.stats();
   ASSERT_GT(warm.arena_reserved_bytes, 0u);
   drive(2, 2000);  // steady state
-  const auto steady = settled_stats(engine, 4000);
+  const auto steady = engine.stats();
   EXPECT_EQ(steady.arena_reserved_bytes, warm.arena_reserved_bytes);
   EXPECT_EQ(steady.arena_blocks, warm.arena_blocks);
   EXPECT_EQ(steady.cache_hits + steady.cache_misses, steady.queries);

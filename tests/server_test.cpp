@@ -23,6 +23,7 @@
 
 #include "router/router_core.hpp"
 #include "router/shard_map.hpp"
+#include "serving_workload.hpp"
 #include "service/engine_handler.hpp"
 #include "service/protocol.hpp"
 #include "service/query_engine.hpp"
@@ -58,11 +59,13 @@ class Client {
     return std::make_unique<Client>(fd);
   }
 
-  void send(const std::string& line) {
+  /// Writes one line; false once the server closed its end (no SIGPIPE).
+  bool try_send(const std::string& line) {
     const std::string out = line + "\n";
-    ASSERT_EQ(::write(fd_, out.data(), out.size()),
-              static_cast<ssize_t>(out.size()));
+    return ::send(fd_, out.data(), out.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(out.size());
   }
+  void send(const std::string& line) { ASSERT_TRUE(try_send(line)); }
 
   /// The next reply line; "<eof>" once the server closed the connection,
   /// "<timeout>" after 5 s without one.
@@ -189,7 +192,7 @@ void check_shared_verbs(Client& c, FakeHandler& h) {
   EXPECT_EQ(c.call("FLUSH"), "FLUSHED epoch=42");
   EXPECT_EQ(h.reloads(), (std::vector<std::string>{"", "snap.bin"}));
   c.send("QUIT");
-  c.send("I 1 2");  // after QUIT: never answered
+  c.try_send("I 1 2");  // after QUIT: never answered (end may be closed)
   EXPECT_EQ(c.read_line(), "<eof>");
 }
 
@@ -298,43 +301,7 @@ batmap::BatmapStore make_store(std::uint64_t universe, int sets,
   return store;
 }
 
-/// Snapshot file -> SnapshotManager -> QueryEngine -> EngineHandler, and
-/// optionally a Listener serving it on an ephemeral port.
-struct EngineServer {
-  EngineServer(const batmap::BatmapStore& store,
-               std::span<const std::uint32_t> rows, const std::string& tag,
-               QueryEngine::Options opt = {}) {
-    const std::string path = "/tmp/server_test_" + tag + "_" +
-                             std::to_string(::getpid()) + ".snap";
-    write_snapshot(store, path, /*epoch=*/1, {}, rows);
-    mgr = std::make_unique<SnapshotManager>(Snapshot::open(path));
-    std::remove(path.c_str());  // the mapping keeps the data alive
-    engine = std::make_unique<QueryEngine>(*mgr, opt);
-    handler = std::make_unique<EngineHandler>(*mgr, *engine, false, path);
-  }
-  ~EngineServer() { stop(); }
-
-  /// Serves on `port` (0 = ephemeral) until stop().
-  void start(std::uint16_t port = 0) {
-    stop_flag.store(false);
-    listener = std::make_unique<Listener>(port);
-    ASSERT_TRUE(listener->ok());
-    thread = std::thread([this] {
-      listener->serve(*handler, {.name = "shard", .stop = &stop_flag});
-    });
-  }
-  void stop() {
-    stop_flag.store(true);
-    if (thread.joinable()) thread.join();
-  }
-
-  std::unique_ptr<SnapshotManager> mgr;
-  std::unique_ptr<QueryEngine> engine;
-  std::unique_ptr<EngineHandler> handler;
-  std::unique_ptr<Listener> listener;
-  std::atomic<bool> stop_flag{false};
-  std::thread thread;
-};
+using workload::EngineServer;
 
 /// The value of `key=` in a STATS line; -1 when absent.
 long long stat(const std::string& line, const std::string& key) {
@@ -398,7 +365,7 @@ struct Fleet {
       shards.push_back(std::make_unique<EngineServer>(
           store, part.owned[s], "fleet" + std::to_string(s),
           s == 1 ? shard1_opt : QueryEngine::Options{}));
-      shards.back()->start();
+      EXPECT_TRUE(shards.back()->start());
     }
     router::RouterCore::Options ropt;
     for (const auto& sh : shards) ropt.ports.push_back(sh->listener->port());
@@ -434,7 +401,7 @@ TEST(RouterTypedErrorsTest, StoppedShardIsUnavailableAfterOneRetry) {
   EXPECT_EQ(f.core->stats_line(), "ERR UNAVAILABLE shard=1");
 
   // Back on the same port, the next request reconnects lazily.
-  f.shards[1]->start(port);
+  ASSERT_TRUE(f.shards[1]->start(port));
   EXPECT_TRUE(f.core->execute(q, 0).ok);
   const std::string st = f.core->stats_line();
   EXPECT_EQ(stat(st, "router_unavailable"), 2) << st;  // query + STATS

@@ -54,13 +54,16 @@ std::string serve(const std::string& snap, const std::string& extra_flags) {
   return res.out;
 }
 
-/// Builds a tiny deterministic store under /tmp and returns its path;
-/// snapshots at any epoch can then be cut from it with cut_snapshot().
-std::string build_store(const std::string& tag) {
+/// Builds a deterministic store (a tiny one by default) under /tmp and
+/// returns its path; snapshots at any epoch can then be cut from it with
+/// cut_snapshot().
+std::string build_store(
+    const std::string& tag,
+    const std::string& gen = "--items 60 --total 6000 --density 0.08") {
   const std::string fimi = "/tmp/service_smoke_" + tag + ".fimi";
   const std::string store = "/tmp/service_smoke_" + tag + ".store";
-  EXPECT_EQ(run(std::string(BATMAP_CLI_PATH) +
-                " gen --items 60 --total 6000 --density 0.08 --out " + fimi)
+  EXPECT_EQ(run(std::string(BATMAP_CLI_PATH) + " gen " + gen + " --out " +
+                fimi)
                 .exit_code,
             0);
   EXPECT_EQ(run(std::string(BATMAP_CLI_PATH) + " build --fimi " + fimi +
@@ -72,15 +75,39 @@ std::string build_store(const std::string& tag) {
 }
 
 std::string cut_snapshot(const std::string& store, const std::string& tag,
-                         int epoch) {
+                         int epoch, const std::string& flags = "") {
   const std::string snap = "/tmp/service_smoke_" + tag + "_e" +
                            std::to_string(epoch) + ".snap";
   EXPECT_EQ(run(std::string(BATMAP_CLI_PATH) + " snapshot --store " + store +
-                " --out " + snap + " --epoch " + std::to_string(epoch))
+                " --out " + snap + " --epoch " + std::to_string(epoch) + " " +
+                flags)
                 .exit_code,
             0);
   return snap;
 }
+
+/// batmap_serve's stdout for `script` (printf escapes): every reply line,
+/// without the stderr banner lines run() interleaves.
+std::string serve_replies(const std::string& snap, const std::string& script,
+                          const std::string& flags = "") {
+  const auto res = run("printf '" + script + "' | " + BATMAP_SERVE_PATH +
+                       " --snapshot " + snap + " " + flags);
+  EXPECT_EQ(res.exit_code, 0) << res.out;
+  std::string out;
+  std::size_t pos = 0;
+  while (pos < res.out.size()) {
+    std::size_t end = res.out.find('\n', pos);
+    if (end == std::string::npos) end = res.out.size();
+    const std::string line = res.out.substr(pos, end - pos);
+    if (line.rfind("batmap_serve:", 0) != 0) out += line + "\n";
+    pos = end + 1;
+  }
+  return out;
+}
+
+// The 300-set corpus (items 300, total 40000, density 0.06) the CI serve
+// gates script against.
+const char* kCiCorpus = "--items 300 --total 40000 --density 0.06";
 
 /// Count occurrences of `needle` in `s`.
 std::size_t count_of(const std::string& s, const std::string& needle) {
@@ -618,6 +645,65 @@ TEST(ServiceSmokeTest, SnapshotInfoReportsFormatVersion) {
   // A v3 file must NOT carry the legacy note.
   EXPECT_EQ(info.out.find("legacy v1"), std::string::npos) << info.out;
 
+  std::remove(store.c_str());
+  std::remove(snap.c_str());
+}
+
+// A scripted I/S/T/K/R stream over the 300-set corpus: the batched and
+// --naive servers reply byte-identically, connection fingerprint included.
+TEST(ServiceSmokeTest, CiCorpusScriptMatchesNaiveByteForByte) {
+  const std::string store = build_store("ci_naive", kCiCorpus);
+  const std::string snap = cut_snapshot(store, "ci_naive", 1);
+  const std::string script =
+      "I 0 1\\nI 1 2\\nS 2 3\\nT 4 5\\nK 3 0 1 2\\nK 5 4 5 6 7 8\\n"
+      "R 3 0 1 2\\nK 2 0 1\\nI 0 1\\nFINGERPRINT\\nQUIT\\n";
+  const std::string batched = serve_replies(snap, script);
+  EXPECT_EQ(batched, serve_replies(snap, script, "--naive"));
+  EXPECT_EQ(count_of(batched, "OK "), 9u) << batched;
+  EXPECT_EQ(count_of(batched, "\nFP "), 1u) << batched;
+  std::remove(store.c_str());
+  std::remove(snap.c_str());
+}
+
+// The same corpus on an adaptive-layout snapshot replies byte-identically
+// to the all-batmap one, fingerprint included.
+TEST(ServiceSmokeTest, CiCorpusAutoLayoutsMatchAllBatmap) {
+  const std::string store = build_store("ci_auto", kCiCorpus);
+  const std::string bm = cut_snapshot(store, "ci_auto_bm", 1);
+  const std::string au = cut_snapshot(store, "ci_auto", 1, "--layout auto");
+  const std::string script =
+      "I 0 1\\nI 1 2\\nS 2 3\\nT 4 5\\nK 3 0 1 2\\nR 3 0 1 2\\nI 0 1\\n"
+      "FINGERPRINT\\nQUIT\\n";
+  const std::string from_bm = serve_replies(bm, script);
+  EXPECT_EQ(from_bm, serve_replies(au, script));
+  EXPECT_EQ(count_of(from_bm, "OK "), 7u) << from_bm;
+  EXPECT_EQ(count_of(from_bm, "\nFP "), 1u) << from_bm;
+  std::remove(store.c_str());
+  std::remove(bm.c_str());
+  std::remove(au.c_str());
+}
+
+// A scripted A/D/FLUSH stream over a 120-item corpus (total 12000): the
+// batched and --naive servers reply byte-identically before and after the
+// FLUSH compaction into epoch 2, fingerprint included.
+TEST(ServiceSmokeTest, CiCorpusWriteStreamMatchesNaiveAcrossFlush) {
+  const std::string store =
+      build_store("ci_live", "--items 120 --total 12000");
+  const std::string snap = cut_snapshot(store, "ci_live", 1);
+  const std::string script =
+      "I 0 1\\nA 0 3 4 5\\nI 0 1\\nD 1 3\\nS 0 1\\nT 0 4\\nK 3 0 1 2\\n"
+      "FLUSH\\nI 0 1\\nS 0 1\\nFINGERPRINT\\nQUIT\\n";
+  const std::string b = "/tmp/service_smoke_ci_live_b";
+  const std::string n = "/tmp/service_smoke_ci_live_n";
+  const std::string batched =
+      serve_replies(snap, script, "--compact-prefix " + b);
+  EXPECT_EQ(batched,
+            serve_replies(snap, script, "--compact-prefix " + n + " --naive"));
+  EXPECT_NE(batched.find("\nFLUSHED epoch=2\n"), std::string::npos)
+      << batched;
+  EXPECT_EQ(count_of(batched, "\nFP "), 1u) << batched;
+  std::remove((b + ".e2").c_str());
+  std::remove((n + ".e2").c_str());
   std::remove(store.c_str());
   std::remove(snap.c_str());
 }
