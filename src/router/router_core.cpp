@@ -178,7 +178,13 @@ RouterCore::Hop RouterCore::exchange(std::uint32_t s, const std::string& line,
                                      std::uint64_t deadline_ns,
                                      std::string& reply, bool retry) {
   if (deadline_ns != 0 && now_ns() >= deadline_ns) return Hop::kTimeout;
-  ShardClient::Io io = clients_[s]->request(line, deadline_ns, reply);
+  return finish(s, line, clients_[s]->send(line), deadline_ns, reply, retry);
+}
+
+RouterCore::Hop RouterCore::finish(std::uint32_t s, const std::string& line,
+                                   int fd, std::uint64_t deadline_ns,
+                                   std::string& reply, bool retry) {
+  ShardClient::Io io = clients_[s]->receive(fd, deadline_ns, reply);
   if (io == ShardClient::Io::kConnFail && retry) {
     retries_.fetch_add(1, std::memory_order_relaxed);
     io = clients_[s]->request(line, deadline_ns, reply);
@@ -473,29 +479,46 @@ RouterCore::Reply RouterCore::execute_impl(const Query& q,
       }
       // Scatter: every shard ranks its local sets against the probe list
       // (k' = k prefetch — a shard can contribute at most k entries), the
-      // probe set itself excluded on its owner. Global merge goes through
+      // probe set itself excluded on its owner. Every line is sent before
+      // any reply is read, each on its own connection, so the shards rank
+      // concurrently. Replies are read in shard order: the lowest-numbered
+      // failing shard's error wins, and later replies are still read so
+      // their connections go back to the pool. Global merge goes through
       // the same topk_insert the engine ranks with, over global ids, so
       // the merged order is the single-node order by construction.
-      std::string scatter;
-      scatter.reserve(24 + 21 * (list.size() + 1));
-      scatter += "X T ";
-      append_u64(scatter, q.k);
-      scatter.push_back(' ');
+      if (deadline_ns != 0 && now_ns() >= deadline_ns) {
+        return err_reply(kTimeoutErr);
+      }
       std::string suffix;
       append_list(suffix, list);
-      Result res;
-      TopEntry best[service::kMaxTopK];
-      std::uint32_t size = 0;
+      std::vector<std::string> lines(n);
+      std::vector<int> fds(n);
       for (std::uint32_t s = 0; s < n; ++s) {
-        std::string line = scatter;
+        std::string& line = lines[s];
+        line.reserve(40 + suffix.size());
+        line = "X T ";
+        append_u64(line, q.k);
+        line.push_back(' ');
         append_u64(line, s == sa ? part_.local_of_id[q.a] : kNoExclude);
         line.push_back(' ');
         line += suffix;
-        switch (exchange(s, line, deadline_ns, reply, /*retry=*/true)) {
+        fds[s] = clients_[s]->send(lines[s]);
+      }
+      Result res;
+      TopEntry best[service::kMaxTopK];
+      std::uint32_t size = 0;
+      std::string err;
+      for (std::uint32_t s = 0; s < n; ++s) {
+        if (!err.empty()) {
+          clients_[s]->receive(fds[s], deadline_ns, reply);
+          continue;
+        }
+        switch (finish(s, lines[s], fds[s], deadline_ns, reply,
+                       /*retry=*/true)) {
           case Hop::kOk: break;
-          case Hop::kTimeout: return err_reply(kTimeoutErr);
-          case Hop::kUnavailable: return err_reply(unavailable_line(s));
-          case Hop::kErrLine: return err_reply(std::move(reply));
+          case Hop::kTimeout: err = kTimeoutErr; continue;
+          case Hop::kUnavailable: err = unavailable_line(s); continue;
+          case Hop::kErrLine: err = std::move(reply); continue;
         }
         Cur c{reply};
         std::string_view t;
@@ -515,9 +538,10 @@ RouterCore::Reply RouterCore::execute_impl(const Query& q,
         ok = ok && c.done();
         if (!ok) {
           unavailable_.fetch_add(1, std::memory_order_relaxed);
-          return err_reply(unavailable_line(s));
+          err = unavailable_line(s);
         }
       }
+      if (!err.empty()) return err_reply(std::move(err));
       res.topk_count = size;
       res.value = size;
       std::copy_n(best, size, res.topk);
@@ -762,9 +786,15 @@ std::string RouterCore::stats_line() {
   emit("router_retries", retries_);
   emit("router_unavailable", unavailable_);
   std::uint64_t reconnects = 0;
-  for (const auto& cl : clients_) reconnects += cl->reconnects();
+  std::uint64_t idle = 0;
+  for (const auto& cl : clients_) {
+    reconnects += cl->reconnects();
+    idle += cl->idle();
+  }
   out += " router_reconnects=";
   append_u64(out, reconnects);
+  out += " router_idle_connections=";
+  append_u64(out, idle);
   for (std::uint32_t f = 1; f <= shard_count() && f <= kMaxShards; ++f) {
     out += " fanout_";
     append_u64(out, f);

@@ -5,7 +5,8 @@
 // Topology: every shard serves the slice of a common corpus that the
 // shared ShardMap assigns it (cut by `batmap_cli shard-split`), addressed
 // by dense local ids. The router owns the global<->local translation and
-// keeps one pipelined ShardClient per shard.
+// keeps one ShardClient per shard: a pool of connections, each carrying
+// one request at a time, so router threads reach a shard concurrently.
 //
 // Routing rules per verb:
 //   I/S/A/D  both/all ids on one shard -> direct forward (ids translated);
@@ -13,9 +14,11 @@
 //            row (X J exact / X RJ stored), intersect at the other owner
 //            (X I / X RI).
 //   T        fetch S_a's membership at its owner (X J), scatter X T with
-//            that list to every shard (per-shard k' = k prefetch, probe
-//            set excluded on its owner), merge through the engine's
-//            canonical (count desc, id asc) ranking with global ids.
+//            that list to every shard at once (per-shard k' = k prefetch,
+//            probe set excluded on its owner; all lines are sent before
+//            any reply is read, so latency is the slowest shard's), merge
+//            through the engine's canonical (count desc, id asc) ranking
+//            with global ids.
 //   K/R      all operands on one shard -> direct forward; otherwise
 //            semi-join (ROADMAP 5b): group operands by owning shard,
 //            visit groups in ascending min-support order starting at the
@@ -100,6 +103,10 @@ class RouterCore final : public service::Handler {
   /// `retry=false` and surface the failure instead).
   Hop exchange(std::uint32_t s, const std::string& line,
                std::uint64_t deadline_ns, std::string& reply, bool retry);
+  /// exchange() after its send: reads the reply to `line`, already sent
+  /// to shard `s` on `fd` (ShardClient::send, -1 when that failed).
+  Hop finish(std::uint32_t s, const std::string& line, int fd,
+             std::uint64_t deadline_ns, std::string& reply, bool retry);
 
   /// Arms shard s's backpressure horizon if `reply` is an OVERLOAD.
   void note_overload(std::uint32_t s, const std::string& reply);

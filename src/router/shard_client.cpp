@@ -3,28 +3,37 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
+#include <cerrno>
 #include <utility>
-#include <vector>
 
-#include "service/line_io.hpp"
 #include "service/query_engine.hpp"
 
 namespace repro::router {
 
 namespace {
 
-std::chrono::steady_clock::time_point to_time_point(std::uint64_t ns) {
-  return std::chrono::steady_clock::time_point(
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::nanoseconds(ns)));
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
-/// MSG_NOSIGNAL: a shard that died mid-reply must surface as a write error
-/// on this thread, not a process-wide SIGPIPE.
+/// MSG_NOSIGNAL: a shard that died must surface as a write error on this
+/// thread, not a process-wide SIGPIPE.
 bool send_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
     const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
@@ -37,126 +46,93 @@ bool send_all(int fd, const char* data, std::size_t n) {
 
 }  // namespace
 
-ShardClient::ShardClient(Options opt) : opt_(opt) {}
-
 ShardClient::~ShardClient() {
-  std::vector<std::thread> reap;
+  for (const int fd : idle_) ::close(fd);
+}
+
+std::size_t ShardClient::idle() const {
+  std::lock_guard lock(mu_);
+  return idle_.size();
+}
+
+void ShardClient::fail(int fd) {
+  std::vector<int> idle;
   {
     std::lock_guard lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
-    if (fd_ >= 0) {
-      ::shutdown(fd_, SHUT_RDWR);
-      fd_ = -1;
-    }
-    for (auto& w : pending_) {
-      w->state = 2;
-    }
-    pending_.clear();
-    cv_.notify_all();
-    if (reader_.joinable()) reap.push_back(std::move(reader_));
-    for (auto& t : retired_) reap.push_back(std::move(t));
-    retired_.clear();
+    idle.swap(idle_);
+    failed_ = true;
   }
-  for (auto& t : reap) t.join();
+  if (fd >= 0) ::close(fd);
+  for (const int i : idle) ::close(i);
 }
 
-bool ShardClient::ensure_connected_locked() {
-  if (fd_ >= 0) return true;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opt_.port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  fd_ = fd;
-  ++generation_;
-  if (generation_ > 1) reconnects_.fetch_add(1, std::memory_order_relaxed);
-  // The previous reader (if any) is already unblocked — its fd was shut
-  // down at teardown — but may not have exited yet; joining here would
-  // deadlock on mu_, so retire it for the destructor to reap. One live
-  // reader per generation; stale generations no-op on exit.
-  if (reader_.joinable()) retired_.push_back(std::move(reader_));
-  reader_ = std::thread(&ShardClient::reader_loop, this, fd_, generation_);
-  return true;
-}
-
-void ShardClient::teardown_locked() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);  // the reader owns the close
-    fd_ = -1;
-  }
-  for (auto& w : pending_) {
-    w->state = 2;
-  }
-  pending_.clear();
-  cv_.notify_all();
-}
-
-void ShardClient::reader_loop(int fd, std::uint64_t generation) {
-  service::FdLineIo io(fd, fd, opt_.max_reply, &stop_);
-  std::string line;
-  for (;;) {
-    const service::FdLineIo::Line st = io.read_line(line);
-    if (st != service::FdLineIo::Line::kOk) break;  // kTooLong => desynced
-    std::unique_lock lock(mu_);
-    if (generation_ != generation) break;  // reconnected underneath us
-    if (!pending_.empty()) {
-      const std::shared_ptr<Waiter> w = std::move(pending_.front());
-      pending_.pop_front();
-      if (!w->abandoned) {
-        w->reply = std::move(line);
-        w->state = 1;
-        cv_.notify_all();
-      }
-    }
-    // else: reply for a waiter a teardown already failed — drop it.
-  }
+int ShardClient::send(const std::string& line) {
+  int fd = -1;
   {
     std::lock_guard lock(mu_);
-    if (generation_ == generation) {
-      fd_ = -1;
-      for (auto& w : pending_) {
-        w->state = 2;
-      }
-      pending_.clear();
-      cv_.notify_all();
+    if (!idle_.empty()) {
+      fd = idle_.back();
+      idle_.pop_back();
     }
   }
-  ::close(fd);
-}
-
-ShardClient::Io ShardClient::request(const std::string& line,
-                                     std::uint64_t deadline_ns,
-                                     std::string& reply) {
-  std::unique_lock lock(mu_);
-  if (stop_.load(std::memory_order_relaxed)) return Io::kConnFail;
-  if (!ensure_connected_locked()) return Io::kConnFail;
+  if (fd < 0) {
+    fd = connect_loopback(opt_.port);
+    if (fd < 0) {
+      fail(-1);
+      return -1;
+    }
+    std::lock_guard lock(mu_);
+    if (std::exchange(failed_, false)) {
+      reconnects_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
   std::string out = line;
   out.push_back('\n');
-  if (!send_all(fd_, out.data(), out.size())) {
-    teardown_locked();
-    return Io::kConnFail;
+  if (!send_all(fd, out.data(), out.size())) {
+    fail(fd);
+    return -1;
   }
-  auto w = std::make_shared<Waiter>();
-  pending_.push_back(w);
-  const auto done = [&] { return w->state != 0; };
-  if (deadline_ns == 0) {
-    cv_.wait(lock, done);
-  } else if (!cv_.wait_until(lock, to_time_point(deadline_ns), done)) {
-    // The reply (if it ever comes) still occupies this pipeline position;
-    // the reader consumes and discards it.
-    w->abandoned = true;
-    return Io::kTimeout;
+  return fd;
+}
+
+ShardClient::Io ShardClient::receive(int fd, std::uint64_t deadline_ns,
+                                     std::string& reply) {
+  if (fd < 0) return Io::kConnFail;
+  reply.clear();
+  char buf[1 << 14];
+  for (;;) {
+    int wait_ms = -1;
+    if (deadline_ns != 0) {
+      const std::uint64_t now = service::QueryEngine::now_ns();
+      if (now >= deadline_ns) {
+        ::close(fd);  // the late reply would answer the next request
+        return Io::kTimeout;
+      }
+      wait_ms = static_cast<int>((deadline_ns - now + 999'999) / 1'000'000);
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    const int pr = ::poll(&pfd, 1, wait_ms);
+    if (pr < 0 && errno == EINTR) continue;
+    if (pr == 0) continue;  // the deadline check above ends the wait
+    const ssize_t n = pr < 0 ? -1 : ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    const std::size_t old = reply.size();
+    reply.append(buf, static_cast<std::size_t>(n));
+    const std::size_t nl = reply.find('\n', old);
+    if (nl == std::string::npos) {
+      if (reply.size() > opt_.max_reply) break;
+      continue;
+    }
+    // One request, one reply line: bytes past it mean a misaligned stream.
+    if (nl + 1 != reply.size() || nl > opt_.max_reply) break;
+    reply.pop_back();
+    if (!reply.empty() && reply.back() == '\r') reply.pop_back();
+    std::lock_guard lock(mu_);
+    idle_.push_back(fd);
+    return Io::kOk;
   }
-  if (w->state != 1) return Io::kConnFail;
-  reply = std::move(w->reply);
-  return Io::kOk;
+  fail(fd);
+  return Io::kConnFail;
 }
 
 }  // namespace repro::router

@@ -1,29 +1,24 @@
-// One persistent line-protocol connection to a batmap_serve shard, safe
-// for concurrent router threads.
+// Line-protocol connections to one batmap_serve shard, safe for
+// concurrent router threads.
 //
-// The shard protocol is strictly one reply line per request line, in
-// order, so the connection is pipelined FIFO: a sender appends its line
-// and a completion slot under the lock, and a single reader thread matches
-// incoming reply lines to slots front-to-back. Concurrent requests from
-// different router connections interleave on the wire without waiting for
-// each other's replies — the "one persistent connection per shard" model.
+// The client keeps a pool of idle connections. Each request leases one
+// (or connects a new one when none is idle), writes its line, reads the
+// one reply line and returns the connection to the pool, so a connection
+// never carries more than one request and requests from different router
+// threads never wait for each other's replies. The pool grows only while
+// every pooled connection is busy, so its size is bounded by the number
+// of requests the router has in flight to this shard.
 //
-// A sender whose deadline expires abandons its slot; the reader still
-// consumes the matching reply line when it arrives (protocol positions
-// must stay aligned) and discards it. On EOF/write failure every pending
-// slot fails with kConnFail, the socket is torn down, and the next request
-// reconnects lazily — the router retries idempotent reads within their
-// deadline and surfaces typed errors for everything else.
+// A timeout or any IO error closes the connection: its late reply would
+// otherwise answer the next request on it. A connection failure also
+// closes every idle connection (they most likely reached the same dead
+// shard), so the router's one retry connects fresh.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace repro::router {
@@ -38,7 +33,7 @@ class ShardClient {
     std::size_t max_reply = 1u << 22;
   };
 
-  explicit ShardClient(Options opt);
+  explicit ShardClient(Options opt) : opt_(opt) {}
   ~ShardClient();
 
   ShardClient(const ShardClient&) = delete;
@@ -46,43 +41,41 @@ class ShardClient {
 
   enum class Io {
     kOk = 0,
-    kConnFail = 1,  ///< connect/send/receive failed; connection torn down
+    kConnFail = 1,  ///< connect/send/receive failed; connection closed
     kTimeout = 2,   ///< deadline expired while waiting for the reply
   };
 
-  /// One request/reply exchange. `line` must not contain '\n'.
-  /// deadline_ns == 0 means no deadline (waits until reply or teardown).
+  /// One request/reply exchange: send() then receive(). `line` must not
+  /// contain '\n'. deadline_ns == 0 means no deadline.
   Io request(const std::string& line, std::uint64_t deadline_ns,
-             std::string& reply);
+             std::string& reply) {
+    return receive(send(line), deadline_ns, reply);
+  }
+
+  /// Leases a connection and writes `line` on it. Returns the leased fd,
+  /// or -1 when no connection could be made or the write failed.
+  int send(const std::string& line);
+  /// Reads the reply to the request in flight on `fd` (a send() result;
+  /// -1 yields kConnFail) and ends the lease: back to the pool on kOk,
+  /// closed otherwise.
+  Io receive(int fd, std::uint64_t deadline_ns, std::string& reply);
 
   std::uint16_t port() const { return opt_.port; }
+  /// Connections made after a connection failure.
   std::uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
+  /// Connections idle in the pool right now.
+  std::size_t idle() const;
 
  private:
-  struct Waiter {
-    std::string reply;
-    int state = 0;  // 0 pending, 1 done, 2 failed
-    bool abandoned = false;
-  };
-
-  bool ensure_connected_locked();
-  void teardown_locked();
-  void reader_loop(int fd, std::uint64_t generation);
+  /// Closes `fd` and every idle connection.
+  void fail(int fd);
 
   Options opt_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int fd_ = -1;
-  std::uint64_t generation_ = 0;  ///< bumps per (re)connect
-  std::deque<std::shared_ptr<Waiter>> pending_;
-  std::thread reader_;
-  /// Readers of torn-down generations: unblocked (their fd was shut down)
-  /// but not yet exited. Joining them inline would deadlock on mu_, so the
-  /// destructor reaps them off-lock.
-  std::vector<std::thread> retired_;
-  std::atomic<bool> stop_{false};
+  mutable std::mutex mu_;
+  std::vector<int> idle_;
+  bool failed_ = false;  ///< a connection failed since the last connect
   std::atomic<std::uint64_t> reconnects_{0};
 };
 

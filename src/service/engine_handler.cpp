@@ -118,12 +118,13 @@ std::string EngineHandler::shard_verb(const std::string& line) {
   };
   const auto read_list = [&](std::vector<std::uint64_t>& list) {
     // Each element takes at least two bytes of the line, which bounds the
-    // claimed count before anything is allocated for it.
+    // claimed count before anything is allocated for it. The list must be
+    // strictly increasing: the kernels it feeds count sorted sets.
     std::uint64_t m = 0;
     if (!c.u64(m) || m > (line.size() - c.i) / 2) return false;
     list.resize(m);
-    for (std::uint64_t& e : list) {
-      if (!c.u64(e)) return false;
+    for (std::uint64_t i = 0; i < m; ++i) {
+      if (!c.u64(list[i]) || (i > 0 && list[i] <= list[i - 1])) return false;
     }
     return true;
   };

@@ -23,10 +23,16 @@
 //                                   the S verb is defined in)
 //   X T <k> <xlid> <m> <e>...    -> OK <c> <lid>:<cnt>...  rank local sets
 //                                   against the list; xlid 4294967295 =
-//                                   exclude nothing
+//                                   exclude nothing. One bit test per
+//                                   stored element against a bitmap of
+//                                   the list while the universe's bitmap
+//                                   (⌈u/64⌉ words) is no larger than the
+//                                   shard's stored elements; one gallop
+//                                   per set past that
 //
-// Errors: "ERR BADREQ bad X request" for grammar, the shared RANGE line
-// for out-of-range ids.
+// Errors: "ERR BADREQ bad X request" for grammar, including an element
+// list that is not strictly increasing; the shared RANGE line for
+// out-of-range ids.
 #pragma once
 
 #include <mutex>

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -67,7 +68,14 @@ class FdLineIo {
 
   void write_all(const char* data, std::size_t n) {
     while (n > 0) {
-      const ssize_t w = ::write(out_, data, n);
+      // On a socket, MSG_NOSIGNAL: a peer that closed (a router that timed
+      // out a request) must not raise SIGPIPE in a process that did not
+      // ignore it, such as an in-process shard.
+      ssize_t w = socket_ ? ::send(out_, data, n, MSG_NOSIGNAL) : -1;
+      if (w < 0 && (!socket_ || errno == ENOTSOCK)) {
+        socket_ = false;
+        w = ::write(out_, data, n);
+      }
       if (w <= 0) return;  // client went away; replies are best-effort
       data += w;
       n -= static_cast<std::size_t>(w);
@@ -84,6 +92,7 @@ class FdLineIo {
   int in_, out_;
   std::size_t max_line_;
   const std::atomic<bool>* stop_;
+  bool socket_ = true;  ///< until a send reports ENOTSOCK
   char buf_[1 << 16];
   std::size_t pos_ = 0, len_ = 0;
 };

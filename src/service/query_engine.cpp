@@ -911,17 +911,38 @@ std::vector<TopEntry> QueryEngine::topk_against(
   const ServingStateRef st = mgr_->current();
   const Snapshot& snap = st->snapshot();
   const DeltaView dview = delta_.view_at(st->epoch());
+  // Counting a row is one bit test per element against the probe's bitmap
+  // over the universe, while that bitmap is no larger than the lists this
+  // call streams anyway; past that (sparse universes) each row gallops
+  // against the probe list.
+  const std::uint64_t universe = snap.universe();
+  std::uint64_t stored = 0;
+  for (std::uint32_t id = 0; id < snap.size(); ++id) {
+    stored += snap.elements(id).size();
+  }
+  const std::uint64_t words = (universe + 63) / 64;
+  const bool bitmap = !list.empty() && words <= stored;
+  std::vector<std::uint64_t> bits(bitmap ? words : 0);
+  if (bitmap) {
+    for (const std::uint64_t e : list) {
+      if (e < universe) bits[e >> 6] |= 1ull << (e & 63);  // no row holds e
+    }
+  }
   TopEntry best[kMaxTopK];
   std::uint32_t size = 0;
-  std::vector<std::uint64_t> buf(list.size());
+  std::vector<std::uint64_t> buf(bitmap ? 0 : list.size());
   std::vector<std::uint64_t> tmp;
   for (std::uint32_t id = 0; id < snap.size(); ++id) {
     if (id == exclude) continue;
     const auto other = effective_elements(snap, dview, id, tmp);
-    const std::uint64_t cnt =
-        list.empty() || other.empty()
-            ? 0
-            : batmap::gallop_intersect(list, other, buf.data());
+    std::uint64_t cnt = 0;
+    if (bitmap) {
+      for (const std::uint64_t v : other) {
+        cnt += v < universe && ((bits[v >> 6] >> (v & 63)) & 1);
+      }
+    } else if (!list.empty() && !other.empty()) {
+      cnt = batmap::gallop_intersect(list, other, buf.data());
+    }
     size = topk_insert(best, size, k, id, cnt);
   }
   return {best, best + size};

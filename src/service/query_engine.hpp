@@ -352,8 +352,11 @@ class QueryEngine {
 
   /// Ranks every local set id != exclude by |list ∩ S_id| (effective
   /// membership) through the canonical (count desc, id asc) order and
-  /// returns the k best. `exclude` = UINT32_MAX disables the exclusion
-  /// (used to drop the probe set itself on its owning shard).
+  /// returns the k best. `list` must be strictly increasing. `exclude` =
+  /// UINT32_MAX disables the exclusion (used to drop the probe set itself
+  /// on its owning shard). Costs O(Σ|S_id|) bit tests against a bitmap of
+  /// `list` while ⌈universe/64⌉ ≤ the shard's stored elements, else one
+  /// galloping merge per set.
   std::vector<TopEntry> topk_against(std::span<const std::uint64_t> list,
                                      std::uint32_t k,
                                      std::uint32_t exclude) const;

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -30,6 +31,7 @@
 #include "service/server.hpp"
 #include "service/snapshot.hpp"
 #include "service/snapshot_manager.hpp"
+#include "util/fault.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
 
@@ -347,6 +349,121 @@ TEST(EngineHandlerTest, ShardVerbsAreCountedApartFromQueries) {
   c.send("QUIT");
 }
 
+/// The "OK <c> <lid>:<cnt>..." reply X T must give: every set but `xlid`
+/// ranked by |probe ∩ set| (count desc, id asc), the k best.
+std::string brute_topk(const std::vector<std::set<std::uint64_t>>& sets,
+                       const std::vector<std::uint64_t>& probe,
+                       std::uint32_t k, std::uint32_t xlid) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> ranked;
+  for (std::uint32_t id = 0; id < sets.size(); ++id) {
+    if (id == xlid) continue;
+    std::uint64_t cnt = 0;
+    for (const std::uint64_t e : probe) cnt += sets[id].count(e);
+    ranked.emplace_back(cnt, id);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {
+    return x.first != y.first ? x.first > y.first : x.second < y.second;
+  });
+  ranked.resize(std::min<std::size_t>(k, ranked.size()));
+  std::string out = "OK ";
+  proto::append_u64(out, ranked.size());
+  for (const auto& [cnt, id] : ranked) {
+    out.push_back(' ');
+    proto::append_u64(out, id);
+    out.push_back(':');
+    proto::append_u64(out, cnt);
+  }
+  return out;
+}
+
+/// X T against brute force over random probes, on a shard with pending
+/// writes. A universe of 3,000 needs 47 bitmap words against ~1,700
+/// stored elements (the bitmap arm); one of 2^24 needs 262,144 words
+/// against ~1,700 (the gallop arm).
+TEST(EngineHandlerTest, TopkAgainstMatchesBruteForce) {
+  for (const std::uint64_t universe : {3000ull, 1ull << 24}) {
+    SCOPED_TRACE(universe);
+    const batmap::BatmapStore store = make_store(universe, 24, 5);
+    EngineServer srv(store, all_rows(store.size()), "xtopk");
+    std::vector<std::set<std::uint64_t>> sets(store.size());
+    for (std::uint32_t id = 0; id < store.size(); ++id) {
+      const auto e = store.elements(id);
+      sets[id].insert(e.begin(), e.end());
+    }
+    Xoshiro256 rng(universe);
+    const auto pick = [&](std::uint32_t id) {
+      // Half from the set itself, so deletes hit and adds overlap.
+      const std::vector<std::uint64_t> own(sets[id].begin(), sets[id].end());
+      return rng.below(2) == 0 && !own.empty() ? own[rng.below(own.size())]
+                                               : rng.below(universe);
+    };
+    // Dirty rows: pending adds and deletes on a third of the sets.
+    for (int w = 0; w < 16; ++w) {
+      const std::uint32_t id = static_cast<std::uint32_t>(rng.below(8)) * 3;
+      const bool add = rng.below(2) == 0;
+      std::string line = add ? "A " : "D ";
+      proto::append_u64(line, id);
+      for (int j = 0; j < 3; ++j) {
+        const std::uint64_t e = pick(id);
+        line.push_back(' ');
+        proto::append_u64(line, e);
+        if (add) {
+          sets[id].insert(e);
+        } else {
+          sets[id].erase(e);
+        }
+      }
+      const proto::ParsedRequest p = proto::parse_request(line);
+      ASSERT_TRUE(p.ok) << line;
+      ASSERT_TRUE(srv.handler->execute(p.q, 0).ok) << line;
+    }
+    ASSERT_GT(srv.engine->stats().delta_sets, 0u);
+    for (int trial = 0; trial < 60; ++trial) {
+      // Probes draw from the set of a random id plus noise, and reach 64
+      // past the universe, where no set has elements.
+      std::set<std::uint64_t> probe;
+      const std::uint32_t from = static_cast<std::uint32_t>(
+          rng.below(store.size()));
+      const std::size_t size = rng.below(150);
+      while (probe.size() < size) {
+        probe.insert(rng.below(3) == 0 ? universe + rng.below(64)
+                                       : pick(from));
+      }
+      const std::vector<std::uint64_t> list(probe.begin(), probe.end());
+      const std::uint32_t k = trial % 3 == 0   ? 1
+                              : trial % 3 == 1 ? kMaxTopK
+                                               : 1 + rng.below(kMaxTopK);
+      const std::uint32_t xlid =
+          trial % 2 == 0 ? 4294967295u : from;
+      std::string line = "X T ";
+      proto::append_u64(line, k);
+      line.push_back(' ');
+      proto::append_u64(line, xlid);
+      line.push_back(' ');
+      proto::append_list(line, list);
+      EXPECT_EQ(srv.handler->shard_verb(line), brute_topk(sets, list, k, xlid))
+          << line;
+    }
+  }
+}
+
+/// Element lists on the X verbs must be strictly increasing: an unsorted
+/// or repeated list is a typed grammar error, never a count.
+TEST(EngineHandlerTest, XListsThatAreNotStrictlyIncreasingAreRejected) {
+  const batmap::BatmapStore store = make_store(3000, 24, 7);
+  EngineServer srv(store, all_rows(store.size()), "xhostile");
+  EngineHandler& h = *srv.handler;
+  for (const char* line :
+       {"X I 1 3 3 9 5 7", "X I 1 3 2 5 5", "X RI 3 2 2 1",
+        "X RI 3 3 1 1 2", "X T 2 4294967295 3 1 3 2",
+        "X T 2 4294967295 2 8 8"}) {
+    EXPECT_EQ(h.shard_verb(line), "ERR BADREQ bad X request") << line;
+  }
+  EXPECT_EQ(h.shard_verb("X I 1 3 3 5 7 9").rfind("OK ", 0), 0u);
+  EXPECT_EQ(h.shard_verb("X RI 3 2 1 2").rfind("OK ", 0), 0u);
+  EXPECT_EQ(h.shard_verb("X T 2 4294967295 3 1 2 3").rfind("OK 2 ", 0), 0u);
+}
+
 TEST(EngineHandlerTest, ReloadRejectionRepliesItsReasonWithoutSourcePaths) {
   const batmap::BatmapStore store = make_store(3000, 24, 7);
   EngineServer srv(store, all_rows(store.size()), "reload");
@@ -432,6 +549,104 @@ TEST(RouterTypedErrorsTest, ShardOverloadPassesThroughThenGatesAtTheRouter) {
   st = f.core->stats_line();
   EXPECT_EQ(stat(st, "shed"), 1) << st;  // never reached the shard
   EXPECT_EQ(stat(st, "router_backpressure"), 1) << st;
+}
+
+/// Holds its reply to "X hold" until an "X release" arrives, on any
+/// connection, for at most 5 s.
+class HoldingShard : public Handler {
+ public:
+  Reply execute(const Query&, std::uint64_t) override {
+    return {false, {}, "ERR RANGE unused"};
+  }
+  std::string stats_line() override { return "STATS holding=1"; }
+  std::string reload(const std::string&) override { return "ERR RELOAD"; }
+  std::string shard_verb(const std::string& line) override {
+    std::unique_lock lock(mu_);
+    if (line == "X release") {
+      released_ = true;
+      cv_.notify_all();
+      return "OK released";
+    }
+    holding_ = true;
+    cv_.notify_all();
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [this] { return released_; })
+               ? "OK held"
+               : "ERR held 5 s without a second request";
+  }
+  bool await_holding() {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [this] { return holding_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  bool released_ = false;
+};
+
+// A request whose reply is pending must not hold up another thread's
+// request to the same shard: the second one takes its own connection.
+TEST(ShardClientTest, ConcurrentRequestsDoNotQueueBehindEachOther) {
+  HoldingShard h;
+  std::atomic<bool> stop{false};
+  Listener l(0);
+  ASSERT_TRUE(l.ok());
+  std::thread server([&] { l.serve(h, small_lines(&stop)); });
+  {
+    router::ShardClient client(router::ShardClient::Options{l.port()});
+    std::string held;
+    router::ShardClient::Io held_io{};
+    std::thread first([&] { held_io = client.request("X hold", 0, held); });
+    EXPECT_TRUE(h.await_holding());
+    std::string released;
+    EXPECT_EQ(client.request("X release", 0, released),
+              router::ShardClient::Io::kOk);
+    EXPECT_EQ(released, "OK released");
+    first.join();
+    EXPECT_EQ(held_io, router::ShardClient::Io::kOk);
+    EXPECT_EQ(held, "OK held");
+    EXPECT_EQ(client.idle(), 2u);  // both connections back in the pool
+  }
+  stop.store(true);
+  server.join();
+}
+
+// Restarting a shard leaves every pooled connection to it dead. The first
+// failure drops them all, so the router's one retry connects fresh.
+TEST(RouterTypedErrorsTest, RestartedShardServesAfterOneRetryWithPooledConns) {
+  Fleet f;
+  const Query q = f.pair_on(1);
+  {
+    // Shard 1's first batch stalls, so four concurrent requests are in
+    // flight together and each takes its own connection.
+    struct FaultGuard {
+      ~FaultGuard() { util::fault::configure(""); }
+    } guard;
+    util::fault::configure("worker_stall_ms=400:1");
+    std::vector<std::thread> threads;
+    std::atomic<int> ok{0};
+    for (int i = 0; i < 4; ++i) {
+      threads.emplace_back([&] { ok += f.core->execute(q, 0).ok ? 1 : 0; });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(ok.load(), 4);
+  }
+  std::string st = f.core->stats_line();
+  // Shard 0 pools the one connection of the handshake; shard 1 the rest.
+  ASSERT_GE(stat(st, "router_idle_connections"), 1 + 3) << st;
+  const long long retries = stat(st, "router_retries");
+
+  const std::uint16_t port = f.shards[1]->listener->port();
+  f.shards[1]->stop();
+  ASSERT_TRUE(f.shards[1]->start(port));
+  EXPECT_TRUE(f.core->execute(q, 0).ok);
+  st = f.core->stats_line();
+  EXPECT_EQ(stat(st, "router_retries"), retries + 1) << st;
+  EXPECT_GE(stat(st, "router_reconnects"), 1) << st;
+  EXPECT_EQ(stat(st, "router_unavailable"), 0) << st;
 }
 
 }  // namespace

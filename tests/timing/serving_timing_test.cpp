@@ -9,6 +9,9 @@
 // time them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "../serving_workload.hpp"
 #include "util/fault.hpp"
 
@@ -33,7 +36,9 @@ struct Served {
 
 // 32 clients over the default 30,000-query zipf workload: the batched
 // engine with its result cache must serve the stream at least twice as
-// fast as one-query-at-a-time serving (max_batch = 1, cache off).
+// fast as one-query-at-a-time serving (max_batch = 1, cache off). The arms
+// alternate five times and the gate reads the median ratio, so one run
+// slowed by a neighbour on a shared host cannot decide it alone.
 TEST(ServingTimingTest, BatchedWithCacheAtLeastTwiceNaive) {
   const Spec s;
   const Served served(s);
@@ -41,14 +46,20 @@ TEST(ServingTimingTest, BatchedWithCacheAtLeastTwiceNaive) {
     QueryEngine engine(*served.mgr, engine_options(e, s));
     return run_engine(engine, served.stream, s.clients);
   };
-  const ArmRun naive = run(Engine::kNaive);
-  const ArmRun cached = run(Engine::kCached);
-  const double ratio = naive.seconds / cached.seconds;
-  std::printf("naive %.0f qps, batched+cache %.0f qps: %.2fx\n",
-              static_cast<double>(s.queries) / naive.seconds,
-              static_cast<double>(s.queries) / cached.seconds, ratio);
-  EXPECT_EQ(naive.fingerprint, cached.fingerprint);
-  EXPECT_GE(ratio, 2.0);
+  std::vector<double> ratios;
+  for (int i = 0; i < 5; ++i) {
+    const ArmRun naive = run(Engine::kNaive);
+    const ArmRun cached = run(Engine::kCached);
+    EXPECT_EQ(naive.fingerprint, cached.fingerprint);
+    ratios.push_back(naive.seconds / cached.seconds);
+    std::printf("naive %.0f qps, batched+cache %.0f qps: %.2fx\n",
+                static_cast<double>(s.queries) / naive.seconds,
+                static_cast<double>(s.queries) / cached.seconds,
+                ratios.back());
+  }
+  std::sort(ratios.begin(), ratios.end());
+  std::printf("median %.2fx\n", ratios[2]);
+  EXPECT_GE(ratios[2], 2.0);
 }
 
 // A stalled batch worker (5 ms per batch), a 4-slot ring and 15 ms
