@@ -364,6 +364,7 @@ bool DeltaLayer::freeze() {
     sd.tail.clear();
     ++sd.version;
   }
+  open_ops_.store(f.op_count, std::memory_order_relaxed);
   frozen_ = std::move(f);
   arena_.reset();  // every live run was materialized above
   oldest_live_ms_ = 0;
@@ -389,6 +390,7 @@ void DeltaLayer::commit_frozen(std::uint64_t published_epoch) {
                   "commit_frozen() without an open freeze");
   frozen_->committed = true;
   frozen_->published_epoch = published_epoch;
+  open_ops_.store(0, std::memory_order_relaxed);
   ++compactions_;
   for (const std::uint32_t id : frozen_->ids) {
     if (id < sets_.size()) ++sets_[id].version;
@@ -417,6 +419,7 @@ void DeltaLayer::abort_frozen() {
   }
   ++failed_compactions_;
   frozen_.reset();
+  open_ops_.store(0, std::memory_order_relaxed);
   live_ops_.store(recount_live_locked(), std::memory_order_relaxed);
   frozen_ops_.store(prev_frozen_ ? prev_frozen_->op_count : 0,
                     std::memory_order_relaxed);
@@ -424,9 +427,8 @@ void DeltaLayer::abort_frozen() {
 
 std::uint64_t DeltaLayer::pending_total() const {
   std::lock_guard lock(mu_);
-  std::uint64_t n = live_ops_.load(std::memory_order_relaxed);
-  if (frozen_ && !frozen_->committed) n += frozen_->op_count;
-  return n;
+  return live_ops_.load(std::memory_order_relaxed) +
+         open_ops_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t DeltaLayer::oldest_op_age_ms() const {
@@ -507,8 +509,9 @@ std::uint64_t Compactor::compact_now() {
     if (util::fault::armed() && util::fault::fire("compact_swap")) {
       throw CheckError("injected compact_swap fault");
     }
-    // wait_drain=false: FLUSH runs this on the batch worker — the thread
-    // that drains old-epoch stragglers — so waiting would deadlock.
+    // wait_drain=false: FLUSH runs this on the thread that runs the batch —
+    // the thread that drains old-epoch stragglers — so waiting would
+    // deadlock.
     const std::uint64_t published = mgr_->swap(path, /*wait_drain=*/false);
     delta_->commit_frozen(published);
     if (!opt_.keep_files && !prev_emitted_.empty()) {

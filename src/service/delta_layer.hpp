@@ -43,8 +43,9 @@
 //
 // The Compactor drives this end to end: rebuild a BatmapStore from
 // base+frozen, write_snapshot + plan_layouts, SnapshotManager::swap with
-// wait_drain=false (the FLUSH hook runs on the batch worker — the thread
-// that must drain old-epoch stragglers — so waiting would deadlock), then
+// wait_drain=false (the FLUSH hook runs on the thread that runs the batch —
+// the thread that must drain old-epoch stragglers — so waiting would
+// deadlock), then
 // commit. REPRO_FAULT sites `compact_emit`, `compact_swap` and `delta_oom`
 // make every failure window testable; a failed compaction aborts the
 // freeze, removes any partial file, and never publishes.
@@ -116,9 +117,9 @@ void apply_delta_ops(std::span<const std::uint64_t> base,
                      std::vector<std::uint64_t>& out);
 
 /// An immutable per-batch snapshot of every op visible at one epoch: the
-/// batch worker builds it once (one lock acquisition) and every kernel,
-/// sweep visitor and correction in the batch reads it lock-free, so all
-/// queries in a batch see one consistent delta state.
+/// thread that runs the batch builds it once (one lock acquisition) and
+/// every kernel, sweep visitor and correction in the batch reads it
+/// lock-free, so all queries in a batch see one consistent delta state.
 class DeltaView {
  public:
   /// Any pending ops at all? False => the whole batch takes clean paths.
@@ -212,6 +213,13 @@ class DeltaLayer {
   /// Live + uncommitted-frozen ops: 0 iff the base alone answers every
   /// query at the newest epoch.
   std::uint64_t pending_total() const;
+  /// pending_total() == 0, read without the lock. A write, freeze or
+  /// commit racing the read may be missed, so this only picks which thread
+  /// runs a batch (QueryEngine::wait), never an answer.
+  bool no_pending_ops() const {
+    return live_ops_.load(std::memory_order_relaxed) == 0 &&
+           open_ops_.load(std::memory_order_relaxed) == 0;
+  }
   /// Milliseconds since the oldest live op was recorded (0 when none) —
   /// the compaction age trigger.
   std::uint64_t oldest_op_age_ms() const;
@@ -271,6 +279,7 @@ class DeltaLayer {
   std::uint64_t oldest_live_ms_ = 0;  ///< steady-clock ms of oldest live op
   std::atomic<std::uint64_t> live_ops_{0};
   std::atomic<std::uint64_t> frozen_ops_{0};  ///< frozen_ + prev_frozen_
+  std::atomic<std::uint64_t> open_ops_{0};    ///< frozen_ while uncommitted
 };
 
 /// Drives compaction: rebuild base+frozen into a BatmapStore, emit the next

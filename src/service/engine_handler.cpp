@@ -48,8 +48,8 @@ Handler::Reply EngineHandler::execute(const Query& query,
   const Query& q = req.query;
   if (naive_) {
     // The reference path honors the same fault site and deadline semantics
-    // as the batch worker, so --naive and batched runs stay reply-identical
-    // under [ms] deadlines and injected stalls.
+    // as the thread that runs a batch, so --naive and batched runs stay
+    // reply-identical under [ms] deadlines and injected stalls.
     if (util::fault::armed()) util::fault::maybe_stall("worker_stall_ms");
     if (deadline_ns != 0 && QueryEngine::now_ns() >= deadline_ns) {
       return outcome_reply(Request::Outcome::kTimeout, {}, q);

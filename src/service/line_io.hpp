@@ -7,6 +7,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -66,29 +67,42 @@ class FdLineIo {
     }
   }
 
-  void write_all(const char* data, std::size_t n) {
+  /// Writes `s` and its newline in one call, without copying the reply.
+  void write_line(const std::string& s) {
+    char newline = '\n';
+    iovec iov[2] = {{const_cast<char*>(s.data()), s.size()}, {&newline, 1}};
+    write_all(iov, 2);
+  }
+
+ private:
+  /// Writes every byte of iov[0, n), advancing it over partial writes.
+  void write_all(iovec* iov, int n) {
     while (n > 0) {
       // On a socket, MSG_NOSIGNAL: a peer that closed (a router that timed
       // out a request) must not raise SIGPIPE in a process that did not
       // ignore it, such as an in-process shard.
-      ssize_t w = socket_ ? ::send(out_, data, n, MSG_NOSIGNAL) : -1;
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = static_cast<std::size_t>(n);
+      ssize_t w = socket_ ? ::sendmsg(out_, &msg, MSG_NOSIGNAL) : -1;
       if (w < 0 && (!socket_ || errno == ENOTSOCK)) {
         socket_ = false;
-        w = ::write(out_, data, n);
+        w = ::writev(out_, iov, n);
       }
       if (w <= 0) return;  // client went away; replies are best-effort
-      data += w;
-      n -= static_cast<std::size_t>(w);
+      auto left = static_cast<std::size_t>(w);
+      while (n > 0 && left >= iov->iov_len) {
+        left -= iov->iov_len;
+        ++iov;
+        --n;
+      }
+      if (n > 0) {
+        iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+        iov->iov_len -= left;
+      }
     }
   }
 
-  void write_line(const std::string& s) {
-    std::string out = s;
-    out.push_back('\n');
-    write_all(out.data(), out.size());
-  }
-
- private:
   int in_, out_;
   std::size_t max_line_;
   const std::atomic<bool>* stop_;

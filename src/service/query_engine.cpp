@@ -18,6 +18,21 @@ bool deadline_expired(const Query& q, std::uint64_t now) {
   return q.deadline_ns != 0 && now >= q.deadline_ns;
 }
 
+/// exec_ layout (see query_engine.hpp): bit 0 is the execution lock, and
+/// each queued request adds kQueuedOne.
+constexpr std::uint64_t kLocked = 1;
+constexpr std::uint64_t kQueuedOne = 2;
+
+/// How long wait() keeps trying the execution lock before it parks: about
+/// the length of a pair micro-batch, well under a futex round trip.
+constexpr std::uint64_t kInlineSpinNs = 5'000;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 bool is_kway(QueryKind kind) {
   return kind == QueryKind::kKway || kind == QueryKind::kRuleScore;
 }
@@ -208,8 +223,7 @@ void QueryEngine::set_flush_hook(std::function<std::uint64_t()> hook) {
 
 QueryEngine::~QueryEngine() {
   stop_.store(true, std::memory_order_release);
-  signal_.fetch_add(1, std::memory_order_release);
-  signal_.notify_all();
+  wake_worker();
   worker_.join();
 }
 
@@ -269,17 +283,20 @@ Admit QueryEngine::try_submit_ex(Request& r) {
     return Admit::kRingFull;
   }
   r.pinned_ = mgr_->current();
+  r.engine_ = this;
   r.state_.store(Request::kQueued, std::memory_order_release);
   inflight_.fetch_add(1, std::memory_order_relaxed);
+  // Counted before the push, so the count never falls short of the ring
+  // (see run_queued). No wake-up: the submitter's wait() runs the request.
+  exec_.fetch_add(kQueuedOne, std::memory_order_acq_rel);
   if (!queue_.try_push(&r)) {
+    exec_.fetch_sub(kQueuedOne, std::memory_order_acq_rel);
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     r.state_.store(Request::kIdle, std::memory_order_release);
     r.pinned_.reset();
     shed_.fetch_add(1, std::memory_order_relaxed);
     return Admit::kRingFull;
   }
-  signal_.fetch_add(1, std::memory_order_release);
-  signal_.notify_one();
   return Admit::kOk;
 }
 
@@ -287,11 +304,38 @@ void QueryEngine::submit(Request& r) {
   for (;;) {
     const Admit a = try_submit_ex(r);
     if (a == Admit::kOk || a == Admit::kExpired) return;
+    // The ring may be full of this thread's own requests, submitted ahead
+    // of their waits: only the worker can make room.
+    if (a == Admit::kRingFull) wake_worker();
     std::this_thread::yield();
   }
 }
 
 bool QueryEngine::wait(Request& r) {
+  QueryEngine* const e = r.engine_;
+  if (e != nullptr &&
+      r.state_.load(std::memory_order_acquire) == Request::kQueued) {
+    if (e->delta_.no_pending_ops()) {
+      const std::uint64_t until = now_ns() + kInlineSpinNs;
+      bool last = false;
+      while (!last &&
+             r.state_.load(std::memory_order_acquire) == Request::kQueued) {
+        last = now_ns() >= until;
+        // Test before test-and-set while spinning; the last try is always
+        // run_queued's read-modify-write, which the no-stranded-request
+        // argument needs before this thread parks.
+        const bool unlocked =
+            (e->exec_.load(std::memory_order_relaxed) & kLocked) == 0;
+        if (last || unlocked) {
+          e->run_queued(/*on_waiter=*/true);
+        } else {
+          cpu_relax();
+        }
+      }
+    } else {
+      e->wake_worker();
+    }
+  }
   for (;;) {
     const std::uint32_t s = r.state_.load(std::memory_order_acquire);
     if (s == Request::kDone) return true;
@@ -312,8 +356,14 @@ std::uint64_t QueryEngine::retry_after_ns() const {
 
 void QueryEngine::drain() const {
   while (inflight_.load(std::memory_order_acquire) != 0) {
+    wake_worker();  // requests whose submitters never wait
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
+}
+
+void QueryEngine::wake_worker() const {
+  signal_.fetch_add(1, std::memory_order_release);
+  signal_.notify_one();
 }
 
 void QueryEngine::finish(Request& r, std::uint32_t state) {
@@ -324,33 +374,62 @@ void QueryEngine::finish(Request& r, std::uint32_t state) {
 }
 
 void QueryEngine::worker_loop() {
+  std::uint32_t seen = 0;
   for (;;) {
-    Request* first = nullptr;
-    for (;;) {
-      if (queue_.try_pop(first)) break;
-      if (stop_.load(std::memory_order_acquire)) return;
-      const std::uint64_t seen = signal_.load(std::memory_order_acquire);
-      if (queue_.try_pop(first)) break;
-      if (stop_.load(std::memory_order_acquire)) return;
-      signal_.wait(seen, std::memory_order_acquire);
+    signal_.wait(seen, std::memory_order_acquire);  // parked until woken
+    seen = signal_.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_acquire)) return;
+    // Drain while requests stay queued. A busy lock ends the round: its
+    // holder wakes this thread again if it leaves requests behind.
+    while (run_queued(/*on_waiter=*/false)) {
     }
-    batch_[0] = first;
-    std::size_t count = 1;
-    while (count < opt_.max_batch && queue_.try_pop(batch_[count])) ++count;
-    execute_batch(count);
   }
 }
 
-void QueryEngine::execute_batch(std::size_t count) {
+// No stranded request. A waiter W parks only after its last lock attempt,
+// a read-modify-write of exec_ sequenced after both W's count increment and
+// its push of r, found the lock held by some H. Every write to exec_ is a
+// read-modify-write, so they form one total order in which W's increment
+// and failed attempt precede H's release, and every later RMW reads a value
+// in their release sequence: H's release therefore sees r counted, and H
+// (and anyone H wakes) sees r's push. Every pop happens under the lock and
+// is uncounted by its popper's release, after the popped request's own
+// increment; so at H's release the count holds r's two unless r was popped
+// and finished — it is at least kQueuedOne. H, a waiter, wakes the worker;
+// H, the worker, runs another round. A worker round that cannot take the
+// lock ends the same way, with the next holder's release. The same holds
+// for a waiter that parked without trying (pending writes): it woke the
+// worker after its push, and the worker's attempt is the RMW above.
+bool QueryEngine::run_queued(bool on_waiter) noexcept {
+  if (exec_.fetch_or(kLocked, std::memory_order_acq_rel) & kLocked) {
+    return false;
+  }
+  std::size_t count = 0;
+  while (count < opt_.max_batch && queue_.try_pop(batch_[count])) ++count;
+  if (count > 0) execute_batch(count, on_waiter);
+  const std::uint64_t taken = kLocked + count * kQueuedOne;
+  const std::uint64_t left =
+      exec_.fetch_sub(taken, std::memory_order_acq_rel) - taken;
+  if (left == 0) return false;
+  if (on_waiter) {
+    wake_worker();
+  } else if (count == 0) {
+    std::this_thread::yield();  // a counted push still in flight
+  }
+  return true;
+}
+
+void QueryEngine::execute_batch(std::size_t count, bool on_waiter) {
   if (util::fault::armed()) util::fault::maybe_stall("worker_stall_ms");
 
   arena_.reset();
   Stats local{};
   local.batches = 1;
+  local.inline_batches = on_waiter ? 1 : 0;
   local.max_batch_seen = count;
 
   // The serving generation for this batch. Requests pinned to an older
-  // epoch (admitted before a swap the worker has now observed) are served
+  // epoch (admitted before a swap this batch now observes) are served
   // through execute_on against their own state below.
   const ServingStateRef cur = mgr_->current();
   if (cur->epoch() != bound_epoch_) {
@@ -522,6 +601,7 @@ void QueryEngine::publish(Stats& local) {
   stats_.queries += local.queries;
   stats_.errors += local.errors;
   stats_.batches += local.batches;
+  stats_.inline_batches += local.inline_batches;
   stats_.max_batch_seen = std::max(stats_.max_batch_seen, local.max_batch_seen);
   stats_.cache_hits += local.cache_hits;
   stats_.cache_misses += local.cache_misses;
@@ -534,7 +614,7 @@ void QueryEngine::publish(Stats& local) {
   stats_.timeouts += local.timeouts;
   stats_.pinned_fallbacks += local.pinned_fallbacks;
   stats_.epoch_rollovers += local.epoch_rollovers;
-  // Arena and cache internals are touched only by this worker thread;
+  // Arena and cache internals are touched only under the execution lock;
   // publishing them here (under the mutex) is what makes stats() safe to
   // call from any thread mid-serve.
   stats_.cache_evictions = cache_.evictions();
@@ -993,8 +1073,8 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
   char tmp[1024];
   std::snprintf(
       tmp, sizeof(tmp),
-      "STATS queries=%" PRIu64 " batches=%" PRIu64 " max_batch=%" PRIu64
-      " cache_hits=%" PRIu64 " cache_misses=%" PRIu64
+      "STATS queries=%" PRIu64 " batches=%" PRIu64 " inline_batches=%" PRIu64
+      " max_batch=%" PRIu64 " cache_hits=%" PRIu64 " cache_misses=%" PRIu64
       " cyclic_pairs=%" PRIu64 " topk_sweeps=%" PRIu64 " kway=%" PRIu64
       " kway_list=%" PRIu64 " kway_sweep=%" PRIu64 " arena_reserved=%" PRIu64
       " shed=%" PRIu64 " timeouts=%" PRIu64 " pinned_fallbacks=%" PRIu64
@@ -1003,8 +1083,8 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
       " delta_elements=%" PRIu64 " delta_bytes=%" PRIu64 " writes=%" PRIu64
       " deletes=%" PRIu64 " compactions=%" PRIu64 " delta_shed=%" PRIu64
       " epoch=%" PRIu64 " swaps=%" PRIu64 " x_queries=%" PRIu64,
-      s.queries, s.batches, s.max_batch_seen, s.cache_hits, s.cache_misses,
-      s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
+      s.queries, s.batches, s.inline_batches, s.max_batch_seen, s.cache_hits,
+      s.cache_misses, s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
       s.kway_list_steps, s.kway_sweep_steps, s.arena_reserved_bytes,
       s.shed_overload, s.timeouts, s.pinned_fallbacks, s.epoch_rollovers,
       s.rows_batmap, s.rows_dense, s.rows_list, s.rows_wah, s.delta_sets,

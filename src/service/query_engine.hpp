@@ -2,9 +2,10 @@
 // hot-swap, deadline-aware admission, and typed overload shedding.
 //
 // Clients submit Requests (client-owned completion slots — the engine never
-// allocates per query) onto a bounded lock-free MPMC queue and block on an
-// atomic flag. A single batch worker drains up to max_batch in-flight
-// requests into a micro-batch and executes it:
+// allocates per query) onto a bounded lock-free MPMC queue and then wait().
+// Whichever thread holds the engine's one execution lock drains up to
+// max_batch queued requests into a micro-batch and executes it; that is
+// normally the waiting client itself (see "Who runs a batch" below):
 //
 //   1. result cache probe — (epoch, kind, a, b/k)-keyed LRU; hits complete
 //      immediately without touching a kernel.
@@ -28,12 +29,25 @@
 //      bypass the result cache (its key cannot hold an id list
 //      losslessly).
 //
+// Who runs a batch: submit only pushes. wait() tries the execution lock
+// for a few microseconds and, when it gets it, runs the queued micro-batch
+// on its own thread — one thread hop per request instead of a wake-up of a
+// batch worker and a wake-up back. A waiter that cannot get the lock parks
+// on its request. The batch worker takes only backlog: it is woken when a
+// releaser leaves requests queued, when submit() finds the ring full, by
+// drain() and by the destructor, and then drains until the queue is empty.
+// While the delta layer holds pending writes, waiters leave every batch to
+// the worker: such batches pay a DeltaView build that dwarfs a wake-up,
+// and the delta's long-lived allocations stay on one thread's malloc
+// arena. Contract: a queued request runs no later than the moment its
+// submitter calls wait().
+//
 // Snapshot hot-swap (SnapshotManager mode): every admitted request pins the
-// ServingState that was current at submit time; the worker executes each
-// batch against the manager's current state and serves stragglers pinned to
+// ServingState that was current at submit time; each batch executes
+// against the manager's current state and serves stragglers pinned to
 // an older, still-resident epoch through execute_on — the naive path's
-// per-query execution, against that epoch and its delta view. On the first
-// batch after a swap the worker rebinds the sweep engine to the new packed
+// per-query execution, against that epoch and its delta view. The first
+// batch after a swap rebinds the sweep engine to the new packed
 // words and clears the result cache (entries are epoch-keyed so they could
 // never hit anyway — clearing returns their capacity to the new epoch
 // immediately). Retired snapshots unmap when the last pin drops; see
@@ -43,9 +57,10 @@
 // reports kRingFull when the Vyukov ring is at capacity (the backpressure
 // signal), kShed when the optional token gate (Options::admit_rate/burst)
 // is out of tokens, and kExpired — completing the request with outcome
-// kTimeout — when the query's deadline has already passed. The worker
-// re-checks deadlines before executing, so a request that waited out its
-// deadline in the queue times out instead of burning a kernel.
+// kTimeout — when the query's deadline has already passed. The thread that
+// runs the batch re-checks deadlines before executing, so a request that
+// waited out its deadline in the queue times out instead of burning a
+// kernel.
 // retry_after_ns() is the backoff hint servers relay to clients.
 //
 // Batch planning scratch lives in an arena that is reset per batch, the
@@ -165,6 +180,8 @@ enum class Admit : std::uint8_t {
 
 /// A client-owned completion slot. Reusable: submit() re-arms it. The slot
 /// must stay alive (and unmodified) from submit() until wait() returns.
+class QueryEngine;
+
 class Request {
  public:
   Query query;
@@ -209,6 +226,8 @@ class Request {
   /// reference from admission to completion is what keeps a hot-swapped
   /// snapshot mapped until its last in-flight query drains.
   ServingStateRef pinned_;
+  /// The engine that admitted the request; wait() runs batches on it.
+  QueryEngine* engine_ = nullptr;
 };
 
 class QueryEngine {
@@ -241,6 +260,8 @@ class QueryEngine {
     std::uint64_t queries = 0;        ///< requests completed (incl. errors)
     std::uint64_t errors = 0;
     std::uint64_t batches = 0;
+    /// Batches run by a waiting client thread rather than the batch worker.
+    std::uint64_t inline_batches = 0;
     std::uint64_t max_batch_seen = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
@@ -261,7 +282,8 @@ class QueryEngine {
     /// Requests executed against an older pinned epoch after a swap (the
     /// per-pair straggler path).
     std::uint64_t pinned_fallbacks = 0;
-    /// Snapshot swaps the worker has observed (sweep rebind + cache clear).
+    /// Snapshot swaps the batches have observed (sweep rebind + cache
+    /// clear).
     std::uint64_t epoch_rollovers = 0;
     /// Arena footprint of the batch planner; constant once warm (pinned in
     /// query_engine_test — the "no per-query heap allocation" witness).
@@ -304,18 +326,22 @@ class QueryEngine {
   /// idle (the caller's typed backpressure signal); kExpired completes it
   /// with outcome kTimeout.
   Admit try_submit_ex(Request& r);
-  /// Blocking submit: spins (with yields) until admitted. A request whose
-  /// deadline expires while spinning completes with outcome kTimeout.
+  /// Blocking submit: spins (with yields) until admitted, waking the batch
+  /// worker whenever the ring is full. A request whose deadline expires
+  /// while spinning completes with outcome kTimeout.
   void submit(Request& r);
-  /// Blocks until `r` completes; returns false iff the engine rejected or
-  /// timed out the request (see Request::outcome()).
+  /// Blocks until `r` completes, running queued micro-batches on the
+  /// calling thread while the engine is free (see the file comment);
+  /// returns false iff the engine rejected or timed out the request (see
+  /// Request::outcome()).
   static bool wait(Request& r);
 
   /// Suggested client backoff after kRingFull/kShed, in nanoseconds.
   std::uint64_t retry_after_ns() const;
 
   /// Blocks until every admitted request has completed — the ring is empty
-  /// and no batch is in flight. The graceful-shutdown and swap-drain hook.
+  /// and no batch is in flight — waking the batch worker for requests no
+  /// one waits on. The graceful-shutdown and swap-drain hook.
   void drain() const;
 
   /// The naive reference path: executes one query synchronously on the
@@ -402,23 +428,30 @@ class QueryEngine {
   /// gate, spawns the worker. mgr_ must already point at a live manager.
   void init();
   void worker_loop();
-  void execute_batch(std::size_t count);
-  /// Merges the worker's pending counters into stats_ (and refreshes the
-  /// worker-owned gauges), then zeroes `local`.
+  /// One round of queued work on the calling thread: takes the execution
+  /// lock if it is free, runs up to max_batch queued requests as one
+  /// micro-batch, and releases the lock. A waiter that leaves requests
+  /// queued wakes the worker. Returns true iff the lock was taken and
+  /// requests were still queued at release.
+  bool run_queued(bool on_waiter) noexcept;
+  void wake_worker() const;
+  void execute_batch(std::size_t count, bool on_waiter);
+  /// Merges the batch's pending counters into stats_ (and refreshes the
+  /// gauges of lock-guarded state), then zeroes `local`.
   void publish(Stats& local);
   /// Canonical cache key under `epoch`: pair kinds are keyed on (min, max)
   /// since their counts are symmetric; top-k on (a, k).
   static ResultCache<Result>::Key cache_key(std::uint64_t epoch,
                                             const Query& q);
   void run_topk(const ServingState& st, Request& r, const DeltaView& dview);
-  /// Cost-planned k-way execution on the worker thread (arena scratch):
+  /// Cost-planned k-way execution inside a batch (arena scratch):
   /// operands ordered by snapshot-stored support, each step either a
   /// galloping list merge or a batmap counter sweep. Exact for both kinds.
   /// Queries touching a dirty set fold effective element lists instead.
   void run_kway(const ServingState& st, Request& r, Stats& local,
                 const DeltaView& dview);
-  /// The planner core: exact |∩ ids| over deduplicated operands, worker
-  /// thread only (scratch comes from the batch arena). The naive path
+  /// The planner core: exact |∩ ids| over deduplicated operands, under the
+  /// execution lock (scratch comes from the batch arena). The naive path
   /// (execute_on) instead folds element lists in protocol order, so
   /// batched-vs-naive fingerprint parity cross-checks the planner against
   /// an independent implementation.
@@ -446,6 +479,7 @@ class QueryEngine {
   SnapshotManager* mgr_;
   std::unique_ptr<SnapshotManager> owned_mgr_;  ///< fixed-snapshot mode
   Options opt_;
+  // Batch state: touched only by the holder of the execution lock (exec_).
   std::unique_ptr<core::SweepEngine> sweep_;
   /// Epoch the sweep engine and cache are bound to; kUnbound before the
   /// first batch. Epochs are strictly increasing across swaps, so an epoch
@@ -462,7 +496,7 @@ class QueryEngine {
 
   /// The live-update layer. Internally synchronized: const read methods
   /// (views, effective rows) are safe from any thread; writes go through
-  /// the worker (batched) or the caller (execute_serial).
+  /// a batch (batched) or the caller (execute_serial).
   mutable DeltaLayer delta_;
   std::function<std::uint64_t()> flush_hook_;
   mutable std::mutex hook_mu_;
@@ -474,7 +508,12 @@ class QueryEngine {
   std::atomic<std::uint64_t> delta_shed_{0};    ///< kOverload writes
   mutable std::atomic<std::uint64_t> x_queries_{0};  ///< shard-internal calls
 
-  std::atomic<std::uint64_t> signal_{0};  ///< submit notifications
+  /// Bit 0 is the execution lock; the rest counts queued requests, two per
+  /// request, each counted before its push and uncounted by the release
+  /// after its pop. Every write is a read-modify-write, which is what
+  /// run_queued's no-stranded-request argument rests on.
+  std::atomic<std::uint64_t> exec_{0};
+  mutable std::atomic<std::uint32_t> signal_{0};  ///< batch worker wake-ups
   std::atomic<bool> stop_{false};
 
   mutable std::mutex stats_mu_;

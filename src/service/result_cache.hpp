@@ -7,9 +7,10 @@
 // strict LRU: when every node is in use, the least recently touched entry
 // is unlinked and its node recycled for the new key.
 //
-// The cache is deliberately single-threaded: only the engine's batch worker
-// reads or writes it, between (not during) kernel execution, so it needs no
-// locks and lookups cost one hash + a short chain walk.
+// The cache is deliberately single-threaded: only the thread that runs the
+// engine's batch (the holder of its execution lock) reads or writes it,
+// between (not during) kernel execution, so it needs no locks of its own
+// and lookups cost one hash + a short chain walk.
 #pragma once
 
 #include <algorithm>

@@ -17,7 +17,8 @@
 //     snap_checksum    Snapshot::open computes a corrupted digest
 //     swap_stall_ms    SnapshotManager::swap sleeps V ms before publishing
 //                      (widens the mid-swap window for kill tests)
-//     worker_stall_ms  the query engine's batch worker sleeps V ms per batch
+//     worker_stall_ms  the thread that runs a query-engine batch (a waiting
+//                      client or the batch worker) sleeps V ms per batch
 //     ring_full        QueryEngine::try_submit_ex reports a full ring
 //     compact_emit     Compactor::compact_now fails before writing the new
 //                      snapshot (freeze is aborted, old epoch keeps serving)

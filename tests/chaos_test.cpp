@@ -198,13 +198,16 @@ TEST(ChaosTest, QueuedRequestTimesOutUnderWorkerStall) {
   QueryEngine engine(snap, {});
 
   // Every batch stalls 40 ms before looking at its requests, so a request
-  // with a 5 ms deadline that arrives while the worker sleeps must be
-  // completed as kTimeout by the worker-side deadline check — never
+  // with a 5 ms deadline that arrives while a batch sleeps must be
+  // completed as kTimeout by the execution-side deadline check — never
   // silently served late.
   util::fault::configure("worker_stall_ms=40");
   Request warm;
   warm.query = {QueryKind::kIntersect, 0, 1, 0};
-  engine.submit(warm);  // batch 1: occupies the worker in its stall
+  engine.submit(warm);
+  // Batch 1 runs on the thread that waits for it and holds the engine in
+  // its stall; undeadlined work still completes.
+  std::thread warm_waiter([&] { EXPECT_TRUE(QueryEngine::wait(warm)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   Request late;
@@ -213,7 +216,7 @@ TEST(ChaosTest, QueuedRequestTimesOutUnderWorkerStall) {
   ASSERT_EQ(engine.try_submit_ex(late), Admit::kOk);
   EXPECT_FALSE(QueryEngine::wait(late));
   EXPECT_EQ(late.outcome(), Request::Outcome::kTimeout);
-  EXPECT_TRUE(QueryEngine::wait(warm));  // undeadlined work still completes
+  warm_waiter.join();
   util::fault::configure("");
   engine.drain();
   EXPECT_GE(engine.stats().timeouts, 1u);
@@ -236,6 +239,7 @@ TEST(ChaosTest, PinnedStragglersServeTheirAdmittedEpoch) {
   Request head;
   head.query = {QueryKind::kIntersect, 0, 1, 0};
   engine.submit(head);
+  std::thread head_waiter([&] { EXPECT_TRUE(QueryEngine::wait(head)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   constexpr int kStragglers = 8;
@@ -247,7 +251,7 @@ TEST(ChaosTest, PinnedStragglersServeTheirAdmittedEpoch) {
   }
   // Publish epoch 2 immediately; drain happens as the stragglers finish.
   std::thread swapper([&] { mgr.swap(p2, /*wait_drain=*/true); });
-  EXPECT_TRUE(QueryEngine::wait(head));
+  head_waiter.join();
   for (int i = 0; i < kStragglers; ++i) {
     EXPECT_TRUE(QueryEngine::wait(reqs[i]));
     EXPECT_EQ(reqs[i].result().value,
@@ -356,6 +360,7 @@ TEST(ChaosTest, PinnedStragglersOfEveryReadKindAnswerFromTheirEpoch) {
   Request head;
   head.query = {QueryKind::kIntersect, 0, 1, 0};
   engine.submit(head);
+  std::thread head_waiter([&] { EXPECT_TRUE(QueryEngine::wait(head)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   std::vector<Request> reqs(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -363,7 +368,7 @@ TEST(ChaosTest, PinnedStragglersOfEveryReadKindAnswerFromTheirEpoch) {
     ASSERT_EQ(engine.try_submit_ex(reqs[i]), Admit::kOk);
   }
   std::thread swapper([&] { mgr.swap(p2, /*wait_drain=*/true); });
-  EXPECT_TRUE(QueryEngine::wait(head));
+  head_waiter.join();
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_TRUE(QueryEngine::wait(reqs[i]));
     EXPECT_TRUE(

@@ -5,6 +5,8 @@
 // invariant behind every benchmark comparison.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/apriori.hpp"
 #include "baselines/bitmap.hpp"
 #include "baselines/eclat.hpp"
@@ -20,21 +22,22 @@ namespace {
 
 struct Instance {
   std::uint32_t n;
-  // gtest prints this struct as a byte dump and ctest names each case after
-  // it. These bytes were padding, which printed whatever the stack held, so
-  // the names changed between builds. `name_word` spells out the bytes each
-  // case's name was first recorded with, which keeps the names fixed;
-  // zeroing it would rename the cases whose recorded bytes are not zero.
-  std::uint32_t name_word;
   double density;
   std::uint64_t total;
   std::uint64_t seed;
 };
 
+/// The case name, e.g. "items20_density30pct_total2000_seed1".
+std::string instance_name(const Instance& p) {
+  return "items" + std::to_string(p.n) + "_density" +
+         std::to_string(static_cast<int>(p.density * 100 + 0.5)) + "pct_total" +
+         std::to_string(p.total) + "_seed" + std::to_string(p.seed);
+}
+
 class CrossImpl : public ::testing::TestWithParam<Instance> {};
 
 TEST_P(CrossImpl, AllImplementationsAgree) {
-  const auto [n, name_word, density, total, seed] = GetParam();
+  const auto [n, density, total, seed] = GetParam();
   mining::BernoulliSpec spec;
   spec.num_items = n;
   spec.density = density;
@@ -98,12 +101,12 @@ TEST_P(CrossImpl, AllImplementationsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Instances, CrossImpl,
-    ::testing::Values(Instance{20, 0, 0.3, 2000, 1},
-                      Instance{40, 0x74726570, 0.1, 3000, 2},
-                      Instance{64, 0, 0.05, 4000, 3},
-                      Instance{30, 0xEFD00000, 0.5, 5000, 4},   // dense
-                      Instance{100, 0, 0.02, 3000, 5}, // sparse, many items
-                      Instance{17, 0xCAD00000, 0.2, 1000, 6})); // odd n
+    ::testing::Values(Instance{20, 0.3, 2000, 1}, Instance{40, 0.1, 3000, 2},
+                      Instance{64, 0.05, 4000, 3},
+                      Instance{30, 0.5, 5000, 4},    // dense
+                      Instance{100, 0.02, 3000, 5},  // sparse, many items
+                      Instance{17, 0.2, 1000, 6}),   // odd n
+    [](const auto& info) { return instance_name(info.param); });
 
 TEST(CrossImplDevice, DeviceBackendAgreesOnWebdocsLike) {
   mining::WebDocsSpec spec;

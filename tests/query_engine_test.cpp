@@ -1,13 +1,18 @@
 // Differential tests for the batched query engine: N client threads of
 // mixed query types against single-threaded oracles (the snapshot's direct
-// path and the BatmapStore the snapshot was built from), plus the
-// steady-state allocation pin (arena stats must stop growing once warm)
-// and unit tests for the lock-free queue and the LRU result cache.
-// Runs in the stress tier, i.e. under the ASan+UBSan CI job.
+// path and the BatmapStore the snapshot was built from), who runs a batch
+// (the waiting client or the batch worker) and that no queued request is
+// left behind, plus the steady-state allocation pin (arena stats must stop
+// growing once warm) and unit tests for the lock-free queue and the LRU
+// result cache. Runs in the stress tier, i.e. under the ASan+UBSan CI job,
+// and under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +23,8 @@
 #include "service/query_engine.hpp"
 #include "service/result_cache.hpp"
 #include "service/snapshot.hpp"
+#include "serving_workload.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace repro::service {
@@ -272,6 +279,295 @@ TEST(QueryEngineTest, SteadyStateServesWithoutArenaGrowth) {
   EXPECT_EQ(steady.arena_reserved_bytes, warm.arena_reserved_bytes);
   EXPECT_EQ(steady.arena_blocks, warm.arena_blocks);
   EXPECT_EQ(steady.cache_hits + steady.cache_misses, steady.queries);
+}
+
+// ---- who runs a batch -------------------------------------------------------
+
+struct FaultGuard {
+  ~FaultGuard() { util::fault::configure(""); }
+};
+
+/// Runs fn(t) on `threads` threads and joins them. A request that nobody
+/// runs blocks its waiter forever, so threads still running after `bound`
+/// end the test binary with a message instead of hanging it.
+void run_threads_within(int threads, std::chrono::seconds bound,
+                        const std::function<void(int)>& fn) {
+  std::atomic<int> done{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      fn(t);
+      done.fetch_add(1);
+    });
+  }
+  const auto until = std::chrono::steady_clock::now() + bound;
+  while (done.load() < threads) {
+    if (std::chrono::steady_clock::now() > until) {
+      std::fprintf(stderr, "%d of %d threads still waiting after %lld s\n",
+                   threads - done.load(), threads,
+                   static_cast<long long>(bound.count()));
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& t : pool) t.join();
+}
+
+/// The first element below `universe` that set `id` of `store` lacks.
+std::uint32_t absent_element(const batmap::BatmapStore& store,
+                             std::uint32_t id) {
+  const auto elems = store.elements(id);
+  std::uint32_t e = 0;
+  while (std::binary_search(elems.begin(), elems.end(), e)) ++e;
+  return e;
+}
+
+TEST(QueryEngineTest, NoRequestStrandedUnderInlineAndWorkerBatches) {
+  // Eight clients on a 4-slot ring: waiters run batches on their own
+  // threads, a full ring and left-behind requests hand batches to the
+  // worker, and injected stalls hold the execution lock while the others
+  // queue. A commuting write phase closes the inline path, a FLUSH reopens
+  // it. Every request must complete, every read with the oracle's answer.
+  FaultGuard guard;
+  workload::Spec spec;
+  spec.sets = 48;
+  spec.universe = 20000;
+  spec.set_size = 150;
+  spec.queries = 2400;
+  spec.zipf = 0.8;
+  spec.kway_permille = 150;
+  spec.seed = 77;
+  const batmap::BatmapStore store = workload::make_store(spec);
+
+  // The writers own the last two sets and add, then delete, elements that
+  // no set holds, so no read that leaves those two sets out changes answer.
+  const auto writer0 = static_cast<std::uint32_t>(spec.sets - 2);
+  std::vector<Query> reads;
+  for (const Query& q : workload::make_stream(spec)) {
+    bool names_writer = q.a >= writer0;
+    if (q.kind == QueryKind::kIntersect || q.kind == QueryKind::kSupport) {
+      names_writer = names_writer || q.b >= writer0;
+    }
+    for (std::uint32_t j = 0; j < q.nids; ++j) {
+      names_writer = names_writer || q.ids[j] >= writer0;
+    }
+    if (!names_writer) reads.push_back(q);
+  }
+  const std::vector<std::uint64_t> oracle =
+      workload::oracle_digests(store, reads);
+  std::set<std::uint64_t> held;
+  for (std::uint32_t id = 0; id < store.size(); ++id) {
+    held.insert(store.elements(id).begin(), store.elements(id).end());
+  }
+  std::vector<std::uint32_t> fresh;
+  for (std::uint32_t e = 0; fresh.size() < 8; ++e) {
+    if (held.count(e) == 0) fresh.push_back(e);
+  }
+
+  const std::string path = workload::scratch_path("qe_stranded");
+  write_snapshot(store, path, /*epoch=*/1);
+  SnapshotManager mgr(Snapshot::open(path));
+  std::remove(path.c_str());
+  QueryEngine::Options opt;
+  opt.queue_capacity = 4;
+  opt.cache_entries = 64;
+  QueryEngine engine(mgr, opt);
+  Compactor::Options copt;
+  copt.out_prefix = workload::scratch_path("qe_stranded_compact");
+  copt.layout = LayoutMode::kBatmap;
+  Compactor compactor(mgr, engine.delta(), copt);
+  engine.set_flush_hook([&compactor] { return compactor.compact_now(); });
+
+  constexpr int kClients = 8;
+  constexpr auto kBound = std::chrono::seconds(120);
+  std::atomic<int> wrong{0};
+  std::atomic<std::uint64_t> requests{0};
+
+  // A waiter that parks behind a holder's stalled batch: the holder popped
+  // its own request before the other was pushed, so only the worker, woken
+  // by the holder's release, can run the second one.
+  util::fault::configure("worker_stall_ms=50:1");
+  run_threads_within(2, kBound, [&](int t) {
+    if (t == 1) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto i = static_cast<std::size_t>(t);
+    Request req;
+    req.query = reads[i];
+    engine.submit(req);
+    if (!QueryEngine::wait(req) ||
+        workload::digest(i, reads[i], req.result()) != oracle[i]) {
+      wrong.fetch_add(1);
+    }
+    requests.fetch_add(1);
+  });
+  // Client t of `clients` serves every clients-th read, starting at t.
+  const auto read_phase = [&](int t, int clients) {
+    Request req;
+    for (std::size_t i = static_cast<std::size_t>(t); i < reads.size();
+         i += static_cast<std::size_t>(clients)) {
+      req.query = reads[i];
+      engine.submit(req);
+      if (!QueryEngine::wait(req) ||
+          workload::digest(i, reads[i], req.result()) != oracle[i]) {
+        wrong.fetch_add(1);
+      }
+      requests.fetch_add(1);
+    }
+  };
+  const auto write_phase = [&](int w) {
+    Request req;
+    for (int round = 0; round < 40; ++round) {
+      for (const QueryKind kind : {QueryKind::kAdd, QueryKind::kDelete}) {
+        req.query = Query{};
+        req.query.kind = kind;
+        req.query.a = writer0 + static_cast<std::uint32_t>(w);
+        req.query.nids = 4;
+        for (std::uint32_t j = 0; j < 4; ++j) {
+          req.query.ids[j] = fresh[static_cast<std::size_t>(w) * 4 + j];
+        }
+        engine.submit(req);
+        if (!QueryEngine::wait(req) || req.result().value != 4) {
+          wrong.fetch_add(1);
+        }
+        requests.fetch_add(1);
+      }
+    }
+  };
+
+  util::fault::configure("worker_stall_ms=1:40");
+  run_threads_within(kClients, kBound, [&](int t) { read_phase(t, kClients); });
+  EXPECT_GT(engine.stats().inline_batches, 0u);
+
+  util::fault::configure("worker_stall_ms=1:40");
+  run_threads_within(kClients, kBound, [&](int t) {
+    if (t < 2) {
+      write_phase(t);
+    } else {
+      read_phase(t - 2, kClients - 2);
+    }
+  });
+  EXPECT_GT(engine.delta().pending_total(), 0u);
+  const auto written = engine.stats();
+  EXPECT_GT(written.batches, written.inline_batches);  // the worker's share
+
+  // FLUSH compacts the commuting writes away, which reopens the inline
+  // path; the compacted epoch answers exactly as the base did.
+  Request flush;
+  flush.query.kind = QueryKind::kFlush;
+  engine.submit(flush);
+  ASSERT_TRUE(QueryEngine::wait(flush));
+  EXPECT_EQ(flush.result().value, 2u);
+  EXPECT_EQ(engine.delta().pending_total(), 0u);
+
+  util::fault::configure("worker_stall_ms=1:40");
+  run_threads_within(kClients, kBound, [&](int t) { read_phase(t, kClients); });
+  EXPECT_GT(engine.stats().inline_batches, written.inline_batches);
+
+  // Requests that no one waits on: drain() hands them to the worker.
+  std::vector<Request> orphans(3);
+  for (std::size_t i = 0; i < orphans.size(); ++i) {
+    orphans[i].query = reads[i];
+    engine.submit(orphans[i]);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  engine.drain();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  for (std::size_t i = 0; i < orphans.size(); ++i) {
+    ASSERT_EQ(orphans[i].outcome(), Request::Outcome::kOk) << i;
+    EXPECT_EQ(workload::digest(i, reads[i], orphans[i].result()), oracle[i]);
+  }
+
+  EXPECT_EQ(wrong.load(), 0);
+  const auto st = engine.stats();
+  EXPECT_EQ(st.queries, requests.load() + 1 + orphans.size());
+  EXPECT_EQ(st.errors, 0u);
+}
+
+TEST(QueryEngineTest, BlockingSubmitDrainsAFullRing) {
+  // One thread submits 64 requests into a 4-slot ring before it waits on
+  // any: only the worker can run them, and submit() must wake it whenever
+  // the ring is full.
+  const auto fx = SnapFixture::make(6000, 24, 41, "fullring");
+  QueryEngine::Options opt;
+  opt.queue_capacity = 4;
+  QueryEngine engine(fx.snap, opt);
+  const auto n = static_cast<std::uint32_t>(fx.snap.size());
+  std::vector<Request> reqs(64);
+  run_threads_within(1, std::chrono::seconds(60), [&](int) {
+    for (std::uint32_t i = 0; i < reqs.size(); ++i) {
+      reqs[i].query = {QueryKind::kIntersect, i % n, (7 * i + 1) % n, 0};
+      engine.submit(reqs[i]);
+    }
+    for (Request& r : reqs) QueryEngine::wait(r);
+  });
+  for (const Request& r : reqs) {
+    ASSERT_EQ(r.outcome(), Request::Outcome::kOk);
+    EXPECT_EQ(r.result().value,
+              fx.store.intersection_size(r.query.a, r.query.b));
+  }
+  const auto st = engine.stats();
+  EXPECT_EQ(st.queries, reqs.size());
+  EXPECT_GT(st.batches, st.inline_batches);
+}
+
+TEST(QueryEngineTest, SingleClientRunsBatchesInline) {
+  // With no write pending, a lone client's wait() always finds the engine
+  // free and runs its batch itself: no thread hand-off at all. A pending
+  // write sends every batch to the worker instead.
+  const auto fx = SnapFixture::make(9000, 32, 43, "inline");
+  QueryEngine engine(fx.snap, {});
+  const auto n = static_cast<std::uint32_t>(fx.snap.size());
+  Xoshiro256 rng(9);
+  Request req;
+  const auto reads = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      req.query = random_query(rng, n);
+      engine.submit(req);
+      ASSERT_TRUE(QueryEngine::wait(req));
+    }
+  };
+  reads(200);
+  const auto quiet = engine.stats();
+  EXPECT_EQ(quiet.batches, 200u);
+  EXPECT_EQ(quiet.inline_batches, quiet.batches);
+
+  req.query = Query{};
+  req.query.kind = QueryKind::kAdd;
+  req.query.ids[0] = absent_element(fx.store, 0);
+  req.query.nids = 1;
+  engine.submit(req);
+  ASSERT_TRUE(QueryEngine::wait(req));
+  ASSERT_EQ(req.result().value, 1u);
+  ASSERT_GT(engine.delta().pending_total(), 0u);
+
+  const auto before = engine.stats();
+  reads(100);
+  const auto after = engine.stats();
+  EXPECT_EQ(after.batches, before.batches + 100);
+  EXPECT_EQ(after.inline_batches, before.inline_batches);
+}
+
+TEST(QueryEngineTest, FormatStatsNamesEveryCounter) {
+  QueryEngine::Stats s;
+  std::uint64_t v = 0;
+  for (std::uint64_t* f :
+       {&s.queries, &s.batches, &s.inline_batches, &s.max_batch_seen,
+        &s.cache_hits, &s.cache_misses, &s.cyclic_pairs, &s.topk_sweeps,
+        &s.kway_queries, &s.kway_list_steps, &s.kway_sweep_steps,
+        &s.arena_reserved_bytes, &s.shed_overload, &s.timeouts,
+        &s.pinned_fallbacks, &s.epoch_rollovers, &s.rows_batmap,
+        &s.rows_dense, &s.rows_list, &s.rows_wah, &s.delta_sets,
+        &s.delta_elements, &s.delta_bytes, &s.delta_writes,
+        &s.delta_deletes, &s.compactions, &s.delta_shed, &s.x_queries}) {
+    *f = ++v;
+  }
+  EXPECT_EQ(format_stats(s, 90, 91),
+            "STATS queries=1 batches=2 inline_batches=3 max_batch=4 "
+            "cache_hits=5 cache_misses=6 cyclic_pairs=7 topk_sweeps=8 kway=9 "
+            "kway_list=10 kway_sweep=11 arena_reserved=12 shed=13 "
+            "timeouts=14 pinned_fallbacks=15 rollovers=16 rows_batmap=17 "
+            "rows_dense=18 rows_list=19 rows_wah=20 delta_sets=21 "
+            "delta_elements=22 delta_bytes=23 writes=24 deletes=25 "
+            "compactions=26 delta_shed=27 epoch=90 swaps=91 x_queries=28");
 }
 
 // ---- MpmcQueue --------------------------------------------------------------

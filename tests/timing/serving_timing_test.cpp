@@ -62,10 +62,10 @@ TEST(ServingTimingTest, BatchedWithCacheAtLeastTwiceNaive) {
   EXPECT_GE(ratios[2], 2.0);
 }
 
-// A stalled batch worker (5 ms per batch), a 4-slot ring and 15 ms
-// deadlines for 32 clients: the engine must shed or time out work with
-// typed verdicts instead of queueing it, and the queries it does serve
-// must see a p99 of at most 250 ms.
+// Stalled batches (5 ms each, whichever thread runs them), a 4-slot ring
+// and 15 ms deadlines for 32 clients: the engine must shed or time out
+// work with typed verdicts instead of queueing it, and the queries it does
+// serve must see a p99 of at most 250 ms.
 TEST(ServingTimingTest, OverloadShedsTypedWithinP99Bound) {
   const Spec s{.queries = 2000};
   const Served served(s);

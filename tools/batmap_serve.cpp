@@ -155,8 +155,9 @@ int main(int argc, char** argv) {
     opt.admit_burst = admit_burst;
     service::QueryEngine engine(mgr, opt);
     // Constructed after the engine so it is destroyed first: the FLUSH hook
-    // below runs on the engine's batch worker, which must never outlive the
-    // compactor it calls into.
+    // below runs on the thread that runs the engine's batch (a connection
+    // thread or the batch worker), which must never outlive the compactor
+    // it calls into.
     service::Compactor::Options copt;
     copt.out_prefix =
         compact_prefix.empty() ? snapshot_path + ".compact" : compact_prefix;
