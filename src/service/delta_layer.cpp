@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 
-#include "batmap/intersect.hpp"
 #include "util/fault.hpp"
 
 namespace repro::service {
@@ -140,7 +140,7 @@ bool DeltaView::dirty(std::uint32_t set) const {
 std::span<const DeltaOp> DeltaView::ops(std::uint32_t set) const {
   const auto it = std::lower_bound(ids_.begin(), ids_.end(), set);
   if (it == ids_.end() || *it != set) return {};
-  return ops_[static_cast<std::size_t>(it - ids_.begin())];
+  return *ops_[static_cast<std::size_t>(it - ids_.begin())];
 }
 
 // ---- DeltaLayer -------------------------------------------------------------
@@ -263,21 +263,38 @@ bool DeltaLayer::empty_at(std::uint64_t epoch) const {
   return true;
 }
 
-void DeltaLayer::merge_set_ops_locked(std::uint32_t set, std::uint64_t epoch,
-                                      std::vector<DeltaOp>& out) const {
-  out.clear();
+const DeltaOpsRef& DeltaLayer::merged_ops_locked(std::uint32_t set,
+                                                std::uint64_t epoch) const {
+  ensure_size_locked(set);
+  SetDelta& sd = sets_[set];
+  if (sd.cache_epoch == epoch && sd.cache_version == sd.version) {
+    return sd.cache_ops;
+  }
+  std::vector<DeltaOp> out;
   // Chronological append order (oldest first), then latest-wins dedup.
   for (const auto* f : {&prev_frozen_, &frozen_}) {
     if (!*f || !frozen_visible(**f, epoch)) continue;
     const auto ops = ops_for((*f)->ids, (*f)->ops, set);
     out.insert(out.end(), ops.begin(), ops.end());
   }
-  if (set < sets_.size()) {
-    const SetDelta& sd = sets_[set];
-    for (const Run& r : sd.runs) out.insert(out.end(), r.data, r.data + r.n);
-    out.insert(out.end(), sd.tail.begin(), sd.tail.end());
-  }
+  for (const Run& r : sd.runs) out.insert(out.end(), r.data, r.data + r.n);
+  out.insert(out.end(), sd.tail.begin(), sd.tail.end());
   sort_keep_last(out);
+  sd.cache_epoch = epoch;
+  sd.cache_version = sd.version;
+  sd.cache_ops = out.empty()
+                     ? nullptr
+                     : std::make_shared<const std::vector<DeltaOp>>(std::move(out));
+  sd.cache_row.reset();
+  return sd.cache_ops;
+}
+
+void DeltaLayer::drop_caches_locked() {
+  for (SetDelta& sd : sets_) {
+    sd.cache_epoch = ~0ull;
+    sd.cache_ops.reset();
+    sd.cache_row.reset();
+  }
 }
 
 DeltaView DeltaLayer::view_at(std::uint64_t epoch) const {
@@ -295,12 +312,13 @@ DeltaView DeltaLayer::view_at(std::uint64_t epoch) const {
   }
   std::sort(cand.begin(), cand.end());
   cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+  v.ids_.reserve(cand.size());
+  v.ops_.reserve(cand.size());
   for (const std::uint32_t id : cand) {
-    std::vector<DeltaOp> ops;
-    merge_set_ops_locked(id, epoch, ops);
-    if (ops.empty()) continue;
+    const DeltaOpsRef& ops = merged_ops_locked(id, epoch);
+    if (!ops) continue;
     v.ids_.push_back(id);
-    v.ops_.push_back(std::move(ops));
+    v.ops_.push_back(ops);
   }
   return v;
 }
@@ -309,13 +327,11 @@ EffectiveRowRef DeltaLayer::effective_row(const Snapshot& snap,
                                           std::uint32_t set,
                                           std::uint64_t epoch) const {
   std::lock_guard lock(mu_);
-  ensure_size_locked(set);
+  const DeltaOpsRef ops_ref = merged_ops_locked(set, epoch);
   SetDelta& sd = sets_[set];
-  if (sd.cache_row && sd.cache_epoch == epoch && sd.cache_version == sd.version) {
-    return sd.cache_row;
-  }
-  std::vector<DeltaOp> ops;
-  merge_set_ops_locked(set, epoch, ops);
+  if (sd.cache_row) return sd.cache_row;
+  const std::span<const DeltaOp> ops =
+      ops_ref ? std::span<const DeltaOp>(*ops_ref) : std::span<const DeltaOp>();
   auto row = std::make_shared<EffectiveRow>();
   apply_delta_ops(snap.elements(set), ops, row->elements);
   if (ops.empty()) {
@@ -331,8 +347,6 @@ EffectiveRowRef DeltaLayer::effective_row(const Snapshot& snap,
                          opt_.builder);
     std::sort(row->failures.begin(), row->failures.end());
   }
-  sd.cache_epoch = epoch;
-  sd.cache_version = sd.version;
   sd.cache_row = row;
   return row;
 }
@@ -362,8 +376,8 @@ bool DeltaLayer::freeze() {
     f.ops.push_back(std::move(ops));
     sd.runs.clear();
     sd.tail.clear();
-    ++sd.version;
   }
+  drop_caches_locked();
   open_ops_.store(f.op_count, std::memory_order_relaxed);
   frozen_ = std::move(f);
   arena_.reset();  // every live run was materialized above
@@ -384,7 +398,15 @@ void DeltaLayer::frozen_elements(std::uint32_t set,
   apply_delta_ops(base, ops_for(frozen_->ids, frozen_->ops, set), out);
 }
 
-void DeltaLayer::commit_frozen(std::uint64_t published_epoch) {
+std::vector<std::uint32_t> DeltaLayer::frozen_sets() const {
+  std::lock_guard lock(mu_);
+  REPRO_CHECK_MSG(frozen_ && !frozen_->committed,
+                  "frozen_sets() without an open freeze");
+  return frozen_->ids;
+}
+
+void DeltaLayer::commit_frozen(std::uint64_t published_epoch,
+                               std::uint64_t rebuilt_rows) {
   std::lock_guard lock(mu_);
   REPRO_CHECK_MSG(frozen_ && !frozen_->committed,
                   "commit_frozen() without an open freeze");
@@ -392,9 +414,8 @@ void DeltaLayer::commit_frozen(std::uint64_t published_epoch) {
   frozen_->published_epoch = published_epoch;
   open_ops_.store(0, std::memory_order_relaxed);
   ++compactions_;
-  for (const std::uint32_t id : frozen_->ids) {
-    if (id < sets_.size()) ++sets_[id].version;
-  }
+  compacted_rows_ += rebuilt_rows;
+  drop_caches_locked();
 }
 
 void DeltaLayer::abort_frozen() {
@@ -411,8 +432,8 @@ void DeltaLayer::abort_frozen() {
     // Frozen ops predate every current live op: re-enter as the oldest run.
     sd.runs.insert(sd.runs.begin(),
                    Run{mem.data(), static_cast<std::uint32_t>(ops.size())});
-    ++sd.version;
   }
+  drop_caches_locked();
   if (frozen_->oldest_ms != 0 &&
       (oldest_live_ms_ == 0 || frozen_->oldest_ms < oldest_live_ms_)) {
     oldest_live_ms_ = frozen_->oldest_ms;
@@ -444,6 +465,7 @@ DeltaLayer::Gauges DeltaLayer::gauges() const {
   g.writes = writes_;
   g.deletes = deletes_;
   g.compactions = compactions_;
+  g.compacted_rows = compacted_rows_;
   g.failed_compactions = failed_compactions_;
   std::uint64_t n_sets = 0;
   for (const SetDelta& sd : sets_) {
@@ -479,6 +501,65 @@ Compactor::~Compactor() {
   if (bg_.joinable()) bg_.join();
 }
 
+std::uint64_t Compactor::write_compacted(const Snapshot& snap,
+                                         const std::string& path,
+                                         std::uint64_t epoch) const {
+  const std::uint64_t universe = snap.universe();
+  const std::vector<std::uint32_t> dirty = delta_->frozen_sets();
+  /// A row the compaction does not copy: storage its spans point into.
+  struct Owned {
+    std::vector<std::uint64_t> elements;
+    std::vector<std::uint64_t> failures;
+    batmap::Batmap map;
+    std::vector<std::uint32_t> payload;
+  };
+  std::deque<Owned> owned;  // stable addresses while the rows are written
+  std::vector<core::RowContainer> rows(snap.size());
+  auto next_dirty = dirty.begin();
+  for (std::uint32_t i = 0; i < snap.size(); ++i) {
+    core::RowContainer row = snap.row(i);
+    const bool frozen = next_dirty != dirty.end() && *next_dirty == i;
+    if (frozen) ++next_dirty;
+    core::RowLayout target = row.layout;
+    if (!frozen) {
+      target = plan_row(opt_.layout, universe, row.range, row.elements,
+                        row.failures);
+      if (target == row.layout) {
+        rows[i] = row;  // copied byte for byte from the mapped base
+        continue;
+      }
+    }
+    Owned& o = owned.emplace_back();
+    if (frozen || target == core::RowLayout::kBatmap) {
+      // The cuckoo build an offline rebuild of this row runs: same context,
+      // sorted-unique insertion order and builder options.
+      if (frozen) {
+        delta_->frozen_elements(i, row.elements, o.elements);
+        row.elements = o.elements;
+      }
+      o.map = batmap::build_batmap(snap.context(), row.elements, &o.failures,
+                                   delta_->options().builder);
+      std::sort(o.failures.begin(), o.failures.end());
+      row.failures = o.failures;
+      row.range = o.map.range();
+      row.stored = o.map.stored_elements();
+      row.words = o.map.words();
+      if (frozen) {
+        target = plan_row(opt_.layout, universe, row.range, row.elements,
+                          row.failures);
+      }
+    }
+    row.layout = target;
+    if (target != core::RowLayout::kBatmap) {
+      o.payload = encode_payload(target, universe, row.elements, row.failures);
+      row.words = o.payload;
+    }
+    rows[i] = row;
+  }
+  write_snapshot(path, epoch, universe, snap.seed(), rows);
+  return owned.size();
+}
+
 std::uint64_t Compactor::compact_now() {
   std::lock_guard lock(compact_mu_);
   // Pin the base generation: it stays mapped through the whole rebuild even
@@ -490,21 +571,12 @@ std::uint64_t Compactor::compact_now() {
   const std::string path =
       opt_.out_prefix + ".e" + std::to_string(next_epoch);
   bool wrote = false;
+  std::uint64_t rebuilt = 0;
   try {
     if (util::fault::armed() && util::fault::fire("compact_emit")) {
       throw CheckError("injected compact_emit fault");
     }
-    batmap::BatmapStore::Options sopt;
-    sopt.seed = snap.seed();
-    sopt.builder = delta_->options().builder;
-    batmap::BatmapStore next(snap.universe(), sopt);
-    std::vector<std::uint64_t> row;
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-      delta_->frozen_elements(static_cast<std::uint32_t>(i), snap.elements(i),
-                              row);
-      next.add(row);
-    }
-    write_snapshot(next, path, next_epoch, plan_layouts(next, opt_.layout));
+    rebuilt = write_compacted(snap, path, next_epoch);
     wrote = true;
     if (util::fault::armed() && util::fault::fire("compact_swap")) {
       throw CheckError("injected compact_swap fault");
@@ -513,7 +585,7 @@ std::uint64_t Compactor::compact_now() {
     // the thread that drains old-epoch stragglers — so waiting would
     // deadlock.
     const std::uint64_t published = mgr_->swap(path, /*wait_drain=*/false);
-    delta_->commit_frozen(published);
+    delta_->commit_frozen(published, rebuilt);
     if (!opt_.keep_files && !prev_emitted_.empty()) {
       std::remove(prev_emitted_.c_str());  // two generations retained
     }

@@ -11,8 +11,12 @@
 //
 // Reads merge base + delta per query. The query engine asks for a DeltaView
 // — an immutable per-batch snapshot of every pending op visible at the
-// serving epoch — and applies a *correction* on top of the base kernel:
-// for a pair (a, b) the exact count changes only at op-touched elements,
+// serving epoch — and applies a *correction* on top of the base kernel.
+// A view costs what changed since the last one: each set caches its merged
+// ops (shared, immutable) keyed on (epoch, set version), so a view build
+// copies references and merges only the sets written since; freeze, commit
+// and abort drop every cache, because they change which ops an epoch sees.
+// For a pair (a, b) the exact count changes only at op-touched elements,
 // so
 //
 //   |S'_a ∩ S'_b| = |S_a ∩ S_b| + Σ_x [x ∈ S'_a ∩ S'_b] − [x ∈ S_a ∩ S_b]
@@ -41,14 +45,19 @@
 // deeper stragglers are out of contract (the ring drains in microseconds,
 // compactions are seconds apart).
 //
-// The Compactor drives this end to end: rebuild a BatmapStore from
-// base+frozen, write_snapshot + plan_layouts, SnapshotManager::swap with
+// The Compactor drives this end to end and costs what changed: it writes
+// the next epoch through the row writer (write_snapshot over rows), copying
+// every clean row byte for byte from the mapped base and running the
+// cuckoo build only for frozen-dirty rows. A clean row whose planned layout
+// differs from its mapped one (the base was cut in another layout mode) is
+// re-encoded, or rebuilt when the plan says batmap, so the emitted file
+// equals an offline write_snapshot of the merged corpus under
+// plan_layouts(mode) byte for byte. Then SnapshotManager::swap with
 // wait_drain=false (the FLUSH hook runs on the thread that runs the batch —
 // the thread that must drain old-epoch stragglers — so waiting would
-// deadlock), then
-// commit. REPRO_FAULT sites `compact_emit`, `compact_swap` and `delta_oom`
-// make every failure window testable; a failed compaction aborts the
-// freeze, removes any partial file, and never publishes.
+// deadlock), then commit. REPRO_FAULT sites `compact_emit`, `compact_swap`
+// and `delta_oom` make every failure window testable; a failed compaction
+// aborts the freeze, removes any emitted file, and never publishes.
 #pragma once
 
 #include <atomic>
@@ -116,10 +125,15 @@ void apply_delta_ops(std::span<const std::uint64_t> base,
                      std::span<const DeltaOp> ops,
                      std::vector<std::uint64_t>& out);
 
+/// One set's merged latest-wins ops, shared by the layer's per-set cache and
+/// every view that holds them; never modified once published.
+using DeltaOpsRef = std::shared_ptr<const std::vector<DeltaOp>>;
+
 /// An immutable per-batch snapshot of every op visible at one epoch: the
 /// thread that runs the batch builds it once (one lock acquisition) and
 /// every kernel, sweep visitor and correction in the batch reads it
 /// lock-free, so all queries in a batch see one consistent delta state.
+/// It holds references to the layer's cached op lists, not copies.
 class DeltaView {
  public:
   /// Any pending ops at all? False => the whole batch takes clean paths.
@@ -131,8 +145,8 @@ class DeltaView {
 
  private:
   friend class DeltaLayer;
-  std::vector<std::uint32_t> ids_;         ///< sorted dirty set ids
-  std::vector<std::vector<DeltaOp>> ops_;  ///< parallel merged op lists
+  std::vector<std::uint32_t> ids_;  ///< sorted dirty set ids
+  std::vector<DeltaOpsRef> ops_;    ///< parallel, never null
 };
 
 class DeltaLayer {
@@ -152,6 +166,9 @@ class DeltaLayer {
     std::uint64_t writes = 0;          ///< add ops recorded (cumulative)
     std::uint64_t deletes = 0;         ///< delete ops recorded (cumulative)
     std::uint64_t compactions = 0;     ///< committed compactions
+    /// Rows committed compactions rebuilt or re-encoded rather than copied
+    /// from the base (cumulative).
+    std::uint64_t compacted_rows = 0;
     std::uint64_t failed_compactions = 0;  ///< aborted freezes (fault/IO)
   };
 
@@ -177,13 +194,14 @@ class DeltaLayer {
   /// layer has never seen a write).
   bool empty_at(std::uint64_t epoch) const;
   /// Builds the consistent per-batch view of ops visible at `epoch`; an
-  /// empty layer returns an empty view without taking the lock.
+  /// empty layer returns an empty view without taking the lock. Sets whose
+  /// cached merge is current are shared, not re-merged.
   DeltaView view_at(std::uint64_t epoch) const;
 
   /// The deterministic rebuild of one row under the ops visible at `epoch`:
   /// merged elements + the failure list the cuckoo build produces for them.
-  /// Cached per set, keyed on (epoch, op version), so repeated kSupport /
-  /// k-way queries against the same delta state rebuild once.
+  /// Cached beside the set's merged ops, under the same key, so repeated
+  /// kSupport / k-way queries against the same delta state rebuild once.
   EffectiveRowRef effective_row(const Snapshot& snap, std::uint32_t set,
                                 std::uint64_t epoch) const;
 
@@ -199,9 +217,14 @@ class DeltaLayer {
   /// writes that landed after freeze() stay pending across the compaction.
   void frozen_elements(std::uint32_t set, std::span<const std::uint64_t> base,
                        std::vector<std::uint64_t>& out) const;
+  /// Sorted ids of the sets the open freeze holds ops for.
+  std::vector<std::uint32_t> frozen_sets() const;
   /// The frozen layer was published as `published_epoch`: its ops vanish
   /// for queries at that epoch and stay visible to earlier pins.
-  void commit_frozen(std::uint64_t published_epoch);
+  /// `rebuilt_rows` (rows the emitted epoch did not copy) adds to the
+  /// compacted_rows gauge.
+  void commit_frozen(std::uint64_t published_epoch,
+                     std::uint64_t rebuilt_rows);
   /// The compaction failed: frozen ops return to the live layer (as the
   /// oldest run) and nothing changes for readers.
   void abort_frozen();
@@ -235,10 +258,13 @@ class DeltaLayer {
   struct SetDelta {
     std::vector<DeltaOp> tail;  ///< append order (newest last)
     std::vector<Run> runs;      ///< oldest first, each sorted latest-wins
-    std::uint64_t version = 0;  ///< bumped on every op / freeze / abort
-    // effective_row cache, keyed (epoch, version)
+    std::uint64_t version = 0;  ///< bumped by every apply that records ops
+    // The set's one cache, keyed (epoch, version): its merged ops visible
+    // at that epoch (null when none) and, built on demand, its effective
+    // row. drop_caches_locked() empties every set's.
     std::uint64_t cache_epoch = ~0ull;
     std::uint64_t cache_version = ~0ull;
+    DeltaOpsRef cache_ops;
     EffectiveRowRef cache_row;
   };
   /// An immutable frozen generation awaiting (or past) publication.
@@ -257,9 +283,12 @@ class DeltaLayer {
   void ensure_size_locked(std::uint32_t set) const;
   /// Seals the tail into a run (and merges the runs at kMaxRuns).
   void seal_tail_locked(SetDelta& sd);
-  /// All ops of `set` visible at `epoch`, merged latest-wins into `out`.
-  void merge_set_ops_locked(std::uint32_t set, std::uint64_t epoch,
-                            std::vector<DeltaOp>& out) const;
+  /// All ops of `set` visible at `epoch`, merged latest-wins (null when
+  /// none), from the set's cache or merged into it.
+  const DeltaOpsRef& merged_ops_locked(std::uint32_t set,
+                                       std::uint64_t epoch) const;
+  /// Freeze, commit and abort change which ops an epoch sees.
+  void drop_caches_locked();
   /// Latest op for (set, elem) visible at `epoch`, if any.
   std::optional<DeltaOp> find_op_locked(std::uint32_t set, std::uint64_t elem,
                                         std::uint64_t epoch) const;
@@ -275,6 +304,7 @@ class DeltaLayer {
   std::uint64_t writes_ = 0;
   std::uint64_t deletes_ = 0;
   std::uint64_t compactions_ = 0;
+  std::uint64_t compacted_rows_ = 0;
   std::uint64_t failed_compactions_ = 0;
   std::uint64_t oldest_live_ms_ = 0;  ///< steady-clock ms of oldest live op
   std::atomic<std::uint64_t> live_ops_{0};
@@ -282,10 +312,11 @@ class DeltaLayer {
   std::atomic<std::uint64_t> open_ops_{0};    ///< frozen_ while uncommitted
 };
 
-/// Drives compaction: rebuild base+frozen into a BatmapStore, emit the next
-/// snapshot epoch through write_snapshot + the layout planner, hot-swap it
-/// via SnapshotManager (wait_drain=false; see file comment), commit the
-/// freeze. Also runs the optional background trigger thread (size / age).
+/// Drives compaction: emit base+frozen as the next snapshot epoch through
+/// the row writer, copying clean rows and rebuilding frozen-dirty ones,
+/// hot-swap it via SnapshotManager (wait_drain=false; see file comment),
+/// commit the freeze. Also runs the optional background trigger thread
+/// (size / age).
 class Compactor {
  public:
   struct Options {
@@ -319,6 +350,11 @@ class Compactor {
 
  private:
   void loop();
+  /// Writes `snap` ⊕ the open freeze to `path` as `epoch` with the layouts
+  /// plan_layouts(opt_.layout) would give the merged corpus. Returns the
+  /// rows not copied from `snap`; their rebuilt storage is freed on return.
+  std::uint64_t write_compacted(const Snapshot& snap, const std::string& path,
+                                std::uint64_t epoch) const;
 
   SnapshotManager* mgr_;
   DeltaLayer* delta_;

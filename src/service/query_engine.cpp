@@ -119,21 +119,57 @@ Result kway_effective(const Snapshot& snap, const DeltaView& dview,
   return res;
 }
 
-/// The per-row top-k ranking (mixed-layout snapshots and the reference
-/// path): every row but `a`, by exact intersection with `a` corrected for
-/// `dview`'s pending ops, ranked through topk_insert.
+/// The one list ranking: every row but `exclude` by |probe ∩ effective
+/// row|, ranked through topk_insert into `best`; returns the fill. Element
+/// lists hold whole sets, insertion failures included, so the counts are
+/// exact intersections. Counting a row is one bit test per element against
+/// the probe's bitmap over the universe, while that bitmap is no larger
+/// than the lists this call streams anyway; past that (sparse universes)
+/// each row gallops against the probe.
+std::uint32_t rank_against(const Snapshot& snap, const DeltaView& dview,
+                           std::span<const std::uint64_t> probe,
+                           std::uint32_t k, std::uint32_t exclude,
+                           TopEntry* best) {
+  const std::uint64_t universe = snap.universe();
+  std::uint64_t stored = 0;
+  for (std::uint32_t id = 0; id < snap.size(); ++id) {
+    stored += snap.elements(id).size();
+  }
+  const std::uint64_t words = (universe + 63) / 64;
+  const bool bitmap = !probe.empty() && words <= stored;
+  std::vector<std::uint64_t> bits(bitmap ? words : 0);
+  if (bitmap) {
+    for (const std::uint64_t e : probe) {
+      if (e < universe) bits[e >> 6] |= 1ull << (e & 63);  // no row holds e
+    }
+  }
+  std::uint32_t size = 0;
+  std::vector<std::uint64_t> buf(bitmap ? 0 : probe.size());
+  std::vector<std::uint64_t> tmp;
+  for (std::uint32_t id = 0; id < snap.size(); ++id) {
+    if (id == exclude) continue;
+    const auto other = effective_elements(snap, dview, id, tmp);
+    std::uint64_t cnt = 0;
+    if (bitmap) {
+      for (const std::uint64_t v : other) {
+        cnt += v < universe && ((bits[v >> 6] >> (v & 63)) & 1);
+      }
+    } else if (!probe.empty() && !other.empty()) {
+      cnt = batmap::gallop_intersect(probe, other, buf.data());
+    }
+    size = topk_insert(best, size, k, id, cnt);
+  }
+  return size;
+}
+
+/// Top-k of row `a` (mixed-layout snapshots and the reference path): its
+/// effective elements ranked against every other row by rank_against.
 Result rank_rows(const Snapshot& snap, const DeltaView& dview, std::uint32_t a,
                  std::uint32_t k) {
-  const auto ea = snap.elements(a);
-  const auto ops_a = dview.ops(a);
+  std::vector<std::uint64_t> tmp;
+  const auto probe = effective_elements(snap, dview, a, tmp);
   Result res;
-  for (std::uint32_t id = 0; id < snap.size(); ++id) {
-    if (id == a) continue;
-    const std::uint64_t cnt =
-        with_delta(snap.intersection_size(a, id), ea, ops_a,
-                   snap.elements(id), dview.ops(id));
-    res.topk_count = topk_insert(res.topk, res.topk_count, k, id, cnt);
-  }
+  res.topk_count = rank_against(snap, dview, probe, k, a, res.topk);
   res.value = res.topk_count;
   return res;
 }
@@ -259,7 +295,11 @@ bool QueryEngine::valid(const ServingState& st, const Query& q) {
     return true;
   }
   if (q.a >= n) return false;
-  if (q.kind == QueryKind::kTopK) return q.k >= 1 && q.k <= kMaxTopK;
+  if (q.kind == QueryKind::kTopK) {
+    // The reference ranking (rank_rows) counts over element lists, so top-k
+    // needs them too; writable() is "every row kept its list".
+    return q.k >= 1 && q.k <= kMaxTopK && st.writable();
+  }
   return q.b < n;
 }
 
@@ -343,6 +383,10 @@ bool QueryEngine::wait(Request& r) {
         s == Request::kOverload) {
       return false;
     }
+    if (s == Request::kFinishing) {
+      std::this_thread::yield();  // the final store follows (see finish)
+      continue;
+    }
     r.state_.wait(s, std::memory_order_acquire);
   }
 }
@@ -366,13 +410,6 @@ void QueryEngine::wake_worker() const {
   signal_.notify_one();
 }
 
-void QueryEngine::finish(Request& r, std::uint32_t state) {
-  r.pinned_.reset();  // release the epoch pin before the waiter can reuse r
-  inflight_.fetch_sub(1, std::memory_order_release);
-  r.state_.store(state, std::memory_order_release);
-  r.state_.notify_all();
-}
-
 void QueryEngine::worker_loop() {
   std::uint32_t seen = 0;
   for (;;) {
@@ -384,6 +421,20 @@ void QueryEngine::worker_loop() {
     while (run_queued(/*on_waiter=*/false)) {
     }
   }
+}
+
+// Request lifetime. The store of a final state is the last access to r:
+// once a waiter reads it, wait() returns and r may be destroyed (servers
+// keep their Request on the stack). So the wake-up goes out first, under
+// the transient kFinishing, which keeps r alive because its waiter cannot
+// return on it: a woken waiter yields through kFinishing until the final
+// store lands.
+void QueryEngine::finish(Request& r, std::uint32_t state) {
+  r.pinned_.reset();  // release the epoch pin before the waiter can reuse r
+  inflight_.fetch_sub(1, std::memory_order_release);
+  r.state_.store(Request::kFinishing, std::memory_order_release);
+  r.state_.notify_all();
+  r.state_.store(state, std::memory_order_release);
 }
 
 // No stranded request. A waiter W parks only after its last lock attempt,
@@ -989,42 +1040,10 @@ std::vector<TopEntry> QueryEngine::topk_against(
   x_queries_.fetch_add(1, std::memory_order_relaxed);
   REPRO_CHECK_MSG(k >= 1 && k <= kMaxTopK, "k out of range");
   const ServingStateRef st = mgr_->current();
-  const Snapshot& snap = st->snapshot();
   const DeltaView dview = delta_.view_at(st->epoch());
-  // Counting a row is one bit test per element against the probe's bitmap
-  // over the universe, while that bitmap is no larger than the lists this
-  // call streams anyway; past that (sparse universes) each row gallops
-  // against the probe list.
-  const std::uint64_t universe = snap.universe();
-  std::uint64_t stored = 0;
-  for (std::uint32_t id = 0; id < snap.size(); ++id) {
-    stored += snap.elements(id).size();
-  }
-  const std::uint64_t words = (universe + 63) / 64;
-  const bool bitmap = !list.empty() && words <= stored;
-  std::vector<std::uint64_t> bits(bitmap ? words : 0);
-  if (bitmap) {
-    for (const std::uint64_t e : list) {
-      if (e < universe) bits[e >> 6] |= 1ull << (e & 63);  // no row holds e
-    }
-  }
   TopEntry best[kMaxTopK];
-  std::uint32_t size = 0;
-  std::vector<std::uint64_t> buf(bitmap ? 0 : list.size());
-  std::vector<std::uint64_t> tmp;
-  for (std::uint32_t id = 0; id < snap.size(); ++id) {
-    if (id == exclude) continue;
-    const auto other = effective_elements(snap, dview, id, tmp);
-    std::uint64_t cnt = 0;
-    if (bitmap) {
-      for (const std::uint64_t v : other) {
-        cnt += v < universe && ((bits[v >> 6] >> (v & 63)) & 1);
-      }
-    } else if (!list.empty() && !other.empty()) {
-      cnt = batmap::gallop_intersect(list, other, buf.data());
-    }
-    size = topk_insert(best, size, k, id, cnt);
-  }
+  const std::uint32_t size =
+      rank_against(st->snapshot(), dview, list, k, exclude, best);
   return {best, best + size};
 }
 
@@ -1056,6 +1075,7 @@ QueryEngine::Stats QueryEngine::stats() const {
   out.delta_writes = g.writes;
   out.delta_deletes = g.deletes;
   out.compactions = g.compactions;
+  out.compacted_rows = g.compacted_rows;
   out.delta_shed = delta_shed_.load(std::memory_order_relaxed);
   out.x_queries = x_queries_.load(std::memory_order_relaxed);
   // Layout gauges reflect the snapshot being served right now.
@@ -1070,7 +1090,7 @@ QueryEngine::Stats QueryEngine::stats() const {
 
 std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
                          std::uint64_t swaps) {
-  char tmp[1024];
+  char tmp[1536];
   std::snprintf(
       tmp, sizeof(tmp),
       "STATS queries=%" PRIu64 " batches=%" PRIu64 " inline_batches=%" PRIu64
@@ -1081,7 +1101,8 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
       " rollovers=%" PRIu64 " rows_batmap=%" PRIu64 " rows_dense=%" PRIu64
       " rows_list=%" PRIu64 " rows_wah=%" PRIu64 " delta_sets=%" PRIu64
       " delta_elements=%" PRIu64 " delta_bytes=%" PRIu64 " writes=%" PRIu64
-      " deletes=%" PRIu64 " compactions=%" PRIu64 " delta_shed=%" PRIu64
+      " deletes=%" PRIu64 " compactions=%" PRIu64 " compacted_rows=%" PRIu64
+      " delta_shed=%" PRIu64
       " epoch=%" PRIu64 " swaps=%" PRIu64 " x_queries=%" PRIu64,
       s.queries, s.batches, s.inline_batches, s.max_batch_seen, s.cache_hits,
       s.cache_misses, s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
@@ -1089,7 +1110,8 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
       s.shed_overload, s.timeouts, s.pinned_fallbacks, s.epoch_rollovers,
       s.rows_batmap, s.rows_dense, s.rows_list, s.rows_wah, s.delta_sets,
       s.delta_elements, s.delta_bytes, s.delta_writes, s.delta_deletes,
-      s.compactions, s.delta_shed, epoch, swaps, s.x_queries);
+      s.compactions, s.compacted_rows, s.delta_shed, epoch, swaps,
+      s.x_queries);
   return tmp;
 }
 

@@ -16,8 +16,10 @@
 //   3. top-k-similar queries sharing a row run once with the largest k
 //      and serve smaller ks from its prefix. All-batmap snapshots sweep the
 //      row band through the engine-owned SweepEngine and reduce per-shard
-//      k-best arrays; mixed-layout snapshots (no packed words) rank every
-//      row through the per-row loop the naive path uses.
+//      k-best arrays; mixed-layout snapshots (no packed words) run the one
+//      list ranking the naive path and X T use: the probe's effective
+//      elements as a bitmap, each row's list counted by bit tests (or
+//      galloped in sparse universes).
 //   4. k-way conjunctive queries (kKway / kRuleScore) are planned per query:
 //      operands ordered by snapshot-stored support, then each intersection
 //      step picks galloping sorted-list merge vs batmap counter sweep by a
@@ -217,8 +219,11 @@ class Request {
 
  private:
   friend class QueryEngine;
+  /// kFinishing is transient: finish() wakes the waiter under it, then
+  /// stores the final state (see the lifetime note at finish()).
   static constexpr std::uint32_t kIdle = 0, kQueued = 1, kDone = 2,
-                                 kError = 3, kTimeout = 4, kOverload = 5;
+                                 kError = 3, kTimeout = 4, kOverload = 5,
+                                 kFinishing = 6;
 
   Result result_;
   std::atomic<std::uint32_t> state_{kIdle};
@@ -303,6 +308,9 @@ class QueryEngine {
     std::uint64_t delta_writes = 0;
     std::uint64_t delta_deletes = 0;
     std::uint64_t compactions = 0;
+    /// Rows compactions rebuilt or re-encoded instead of copying them from
+    /// the base (cumulative).
+    std::uint64_t compacted_rows = 0;
     /// Writes shed with Outcome::kOverload (delta over budget).
     std::uint64_t delta_shed = 0;
     /// Shard-internal calls served (semi_join, topk_against, row_supports:

@@ -42,12 +42,10 @@ void write_hashed(std::ostream& out, util::Fnv1a& hash, const void* data,
 
 /// The row's stored elements (elements set-minus failures) as u32 ids — the
 /// source material for every non-batmap payload. Requires ids to fit u32.
-std::vector<std::uint32_t> stored_ids_u32(const batmap::BatmapStore& store,
-                                          std::size_t id) {
-  const auto elems = store.elements(id);
-  const auto fails = store.failures(id);
+std::vector<std::uint32_t> stored_ids_u32(std::span<const std::uint64_t> elems,
+                                          std::span<const std::uint64_t> fails) {
   std::vector<std::uint32_t> out;
-  out.reserve(elems.size() - fails.size());
+  out.reserve(elems.size() - std::min(fails.size(), elems.size()));
   std::size_t f = 0;
   for (const std::uint64_t v : elems) {
     while (f < fails.size() && fails[f] < v) ++f;
@@ -84,58 +82,86 @@ std::optional<LayoutMode> parse_layout_mode(std::string_view name) {
   return std::nullopt;
 }
 
-std::vector<core::RowLayout> plan_layouts(const batmap::BatmapStore& store,
-                                          LayoutMode mode) {
-  const std::size_t n = store.size();
-  std::vector<core::RowLayout> plan(n, core::RowLayout::kBatmap);
-  if (mode == LayoutMode::kBatmap) return plan;
-  // Cross-layout kernels patch and merge via stored-element lists; a store
-  // that dropped them can only be served all-batmap.
-  if (!elements_retained(store)) return plan;
-  const bool ids_fit_u32 = store.universe() <= 0x100000000ull;
-  const std::uint64_t dense_bytes = core::dense_word_count(store.universe()) * 8;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& m = store.map(i);
-    switch (mode) {
-      case LayoutMode::kDense:
-        plan[i] = core::RowLayout::kDense;
-        break;
-      case LayoutMode::kList:
-        if (ids_fit_u32) plan[i] = core::RowLayout::kSortedList;
-        break;
-      case LayoutMode::kWah:
-        if (ids_fit_u32) plan[i] = core::RowLayout::kWah;
-        break;
-      case LayoutMode::kAuto: {
-        // Smallest encoding wins; ties go to the faster intersect kernel
-        // (dense word AND < batmap sweep < galloping list < WAH decode).
-        std::uint64_t best_bytes = dense_bytes;
-        int best_rank = 0;
-        core::RowLayout best = core::RowLayout::kDense;
-        const auto consider = [&](std::uint64_t bytes, int rank,
-                                  core::RowLayout layout) {
-          if (bytes < best_bytes || (bytes == best_bytes && rank < best_rank)) {
-            best_bytes = bytes;
-            best_rank = rank;
-            best = layout;
-          }
-        };
-        consider(m.word_count() * 4, 1, core::RowLayout::kBatmap);
-        if (ids_fit_u32) {
-          const auto ids = stored_ids_u32(store, i);
-          consider(ids.size() * 4, 2, core::RowLayout::kSortedList);
-          consider(core::wah_encode(ids, store.universe()).size() * 4, 3,
-                   core::RowLayout::kWah);
+core::RowLayout plan_row(LayoutMode mode, std::uint64_t universe,
+                         std::uint32_t range,
+                         std::span<const std::uint64_t> elements,
+                         std::span<const std::uint64_t> failures) {
+  const bool ids_fit_u32 = universe <= 0x100000000ull;
+  switch (mode) {
+    case LayoutMode::kBatmap:
+      break;
+    case LayoutMode::kDense:
+      return core::RowLayout::kDense;
+    case LayoutMode::kList:
+      if (ids_fit_u32) return core::RowLayout::kSortedList;
+      break;
+    case LayoutMode::kWah:
+      if (ids_fit_u32) return core::RowLayout::kWah;
+      break;
+    case LayoutMode::kAuto: {
+      // Smallest encoding wins; ties go to the faster intersect kernel
+      // (dense word AND < batmap sweep < galloping list < WAH decode).
+      std::uint64_t best_bytes = core::dense_word_count(universe) * 8;
+      int best_rank = 0;
+      core::RowLayout best = core::RowLayout::kDense;
+      const auto consider = [&](std::uint64_t bytes, int rank,
+                                core::RowLayout layout) {
+        if (bytes < best_bytes || (bytes == best_bytes && rank < best_rank)) {
+          best_bytes = bytes;
+          best_rank = rank;
+          best = layout;
         }
-        plan[i] = best;
-        break;
+      };
+      consider(batmap::LayoutParams::words(range) * 4, 1,
+               core::RowLayout::kBatmap);
+      if (ids_fit_u32) {
+        const auto ids = stored_ids_u32(elements, failures);
+        consider(ids.size() * 4, 2, core::RowLayout::kSortedList);
+        consider(core::wah_encode(ids, universe).size() * 4, 3,
+                 core::RowLayout::kWah);
       }
-      case LayoutMode::kBatmap:
-        break;
+      return best;
     }
   }
+  return core::RowLayout::kBatmap;
+}
+
+std::vector<core::RowLayout> plan_layouts(const batmap::BatmapStore& store,
+                                          LayoutMode mode) {
+  std::vector<core::RowLayout> plan(store.size(), core::RowLayout::kBatmap);
+  // Cross-layout kernels patch and merge via stored-element lists; a store
+  // that dropped them can only be served all-batmap.
+  if (mode == LayoutMode::kBatmap || !elements_retained(store)) return plan;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    plan[i] = plan_row(mode, store.universe(), store.map(i).range(),
+                       store.elements(i), store.failures(i));
+  }
   return plan;
+}
+
+std::vector<std::uint32_t> encode_payload(core::RowLayout layout,
+                                          std::uint64_t universe,
+                                          std::span<const std::uint64_t> elements,
+                                          std::span<const std::uint64_t> failures) {
+  // Every alternative payload is built from the STORED elements, so raw
+  // cross-layout counts equal the raw sweep.
+  const auto ids = stored_ids_u32(elements, failures);
+  switch (layout) {
+    case core::RowLayout::kDense: {
+      const auto dense = core::dense_from_ids(ids, universe);
+      std::vector<std::uint32_t> out(dense.size() * 2);
+      std::memcpy(out.data(), dense.data(), dense.size() * 8);
+      return out;
+    }
+    case core::RowLayout::kSortedList:
+      return ids;
+    case core::RowLayout::kWah:
+      return core::wah_encode(ids, universe);
+    case core::RowLayout::kBatmap:
+      break;
+  }
+  REPRO_CHECK_MSG(false, "batmap payloads come from the cuckoo build");
+  return {};
 }
 
 void write_snapshot(const batmap::BatmapStore& store, const std::string& path,
@@ -166,80 +192,67 @@ void write_snapshot(const batmap::BatmapStore& store, const std::string& path,
   // owns zero sets cannot be expressed here — shard-split rejects that
   // topology before calling.
   const bool subset = !rows.empty();
-  const std::uint64_t n = subset ? rows.size() : store.size();
-  for (const std::uint32_t r : rows) {
-    REPRO_CHECK_MSG(r < store.size(), "shard row id out of range");
-  }
-  // Output position -> store row. The full-store path is the identity.
-  const auto src = [&](std::uint64_t i) -> std::size_t {
-    return subset ? rows[i] : static_cast<std::size_t>(i);
-  };
+  const std::size_t n = subset ? rows.size() : store.size();
   REPRO_CHECK_MSG(layouts.empty() || layouts.size() == n,
                   "layout plan size does not match store");
-  SnapshotHeader hdr;
-  hdr.epoch = epoch;
-  hdr.universe = store.universe();
-  hdr.seed = store.seed();
-  hdr.map_count = n;
-
-  // Materialize non-batmap payloads up front (batmap rows reuse the store's
-  // packed words with zero copy). Every alternative payload is built from
-  // the STORED elements, so raw cross-layout counts equal the raw sweep.
+  // Batmap rows reuse the store's packed words with zero copy; the other
+  // payloads are encoded up front and live in `built` through the write.
   std::vector<std::vector<std::uint32_t>> built(n);
-  const auto row_layout = [&](std::uint64_t i) {
-    return layouts.empty() ? core::RowLayout::kBatmap : layouts[i];
-  };
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const core::RowLayout layout = row_layout(i);
-    if (layout == core::RowLayout::kBatmap) continue;
-    const auto& m = store.map(src(i));
-    REPRO_CHECK_MSG(store.elements(src(i)).size() ==
-                        m.stored_elements() + store.failures(src(i)).size(),
-                    "non-batmap layout requires retained element lists");
-    const auto ids = stored_ids_u32(store, src(i));
-    switch (layout) {
-      case core::RowLayout::kDense: {
-        const auto dense = core::dense_from_ids(ids, store.universe());
-        built[i].resize(dense.size() * 2);
-        std::memcpy(built[i].data(), dense.data(), dense.size() * 8);
-        break;
-      }
-      case core::RowLayout::kSortedList:
-        built[i] = {ids.begin(), ids.end()};
-        break;
-      case core::RowLayout::kWah:
-        built[i] = core::wah_encode(ids, store.universe());
-        break;
-      case core::RowLayout::kBatmap:
-        break;
+  std::vector<core::RowContainer> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = subset ? rows[i] : i;
+    REPRO_CHECK_MSG(r < store.size(), "shard row id out of range");
+    const auto& m = store.map(r);
+    core::RowContainer& row = out[i];
+    row = {layouts.empty() ? core::RowLayout::kBatmap : layouts[i],
+           store.universe(),  m.range(),          m.stored_elements(),
+           m.words(),         store.elements(r),  store.failures(r)};
+    if (row.layout != core::RowLayout::kBatmap) {
+      built[i] = encode_payload(row.layout, row.universe, row.elements,
+                                row.failures);
+      row.words = built[i];
     }
   }
+  write_snapshot(path, epoch, store.universe(), store.seed(), out);
+}
+
+void write_snapshot(const std::string& path, std::uint64_t epoch,
+                    std::uint64_t universe, std::uint64_t seed,
+                    std::span<const core::RowContainer> rows) {
+  const std::uint64_t n = rows.size();
+  SnapshotHeader hdr;
+  hdr.epoch = epoch;
+  hdr.universe = universe;
+  hdr.seed = seed;
+  hdr.map_count = n;
 
   // Lay out the directory and the three 64B-aligned sections.
   std::vector<SnapshotMapEntry> entries(n);
   std::uint64_t off = sizeof(SnapshotHeader) + n * sizeof(SnapshotMapEntry);
   off = bits::round_up(off, kAlign);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto& m = store.map(src(i));
-    const core::RowLayout layout = row_layout(i);
-    const std::uint64_t words =
-        layout == core::RowLayout::kBatmap ? m.word_count() : built[i].size();
-    REPRO_CHECK_MSG(words <= 0xffffffffull, "row payload too large");
-    entries[i].word_count = static_cast<std::uint32_t>(words);
-    entries[i].range = m.range();
-    entries[i].stored_elements = m.stored_elements();
-    entries[i].layout = static_cast<std::uint32_t>(layout);
+    const core::RowContainer& row = rows[i];
+    REPRO_CHECK_MSG(row.words.size() <= 0xffffffffull, "row payload too large");
+    REPRO_CHECK_MSG(row.layout == core::RowLayout::kBatmap ||
+                        row.elements.size() ==
+                            row.stored + row.failures.size(),
+                    "non-batmap layout requires retained element lists");
+    entries[i].word_count = static_cast<std::uint32_t>(row.words.size());
+    entries[i].range = row.range;
+    entries[i].stored_elements = row.stored;
+    entries[i].layout = static_cast<std::uint32_t>(row.layout);
     entries[i].words_off = off;
-    off = bits::round_up(off + words * sizeof(std::uint32_t), kAlign);
+    off = bits::round_up(off + row.words.size() * sizeof(std::uint32_t),
+                         kAlign);
   }
   for (std::uint64_t i = 0; i < n; ++i) {
-    entries[i].fail_count = store.failures(src(i)).size();
+    entries[i].fail_count = rows[i].failures.size();
     entries[i].fail_off = off;
     off = bits::round_up(off + entries[i].fail_count * sizeof(std::uint64_t),
                          kAlign);
   }
   for (std::uint64_t i = 0; i < n; ++i) {
-    entries[i].elem_count = store.elements(src(i)).size();
+    entries[i].elem_count = rows[i].elements.size();
     entries[i].elem_off = off;
     off = bits::round_up(off + entries[i].elem_count * sizeof(std::uint64_t),
                          kAlign);
@@ -259,33 +272,26 @@ void write_snapshot(const batmap::BatmapStore& store, const std::string& path,
   write_hashed(out, hash, entries.data(), n * sizeof(SnapshotMapEntry));
   pos += n * sizeof(SnapshotMapEntry);
 
-  auto pad_to = [&](std::uint64_t target) {
+  const auto put = [&](std::uint64_t target, const void* data,
+                       std::size_t bytes) {
     REPRO_CHECK(target >= pos);
     write_pad(out, hash, target - pos);
-    pos = target;
+    write_hashed(out, hash, data, bytes);
+    pos = target + bytes;
   };
   for (std::uint64_t i = 0; i < n; ++i) {
-    pad_to(entries[i].words_off);
-    const std::span<const std::uint32_t> w =
-        row_layout(i) == core::RowLayout::kBatmap
-            ? store.map(src(i)).words()
-            : std::span<const std::uint32_t>(built[i]);
-    write_hashed(out, hash, w.data(), w.size() * sizeof(std::uint32_t));
-    pos += w.size() * sizeof(std::uint32_t);
+    put(entries[i].words_off, rows[i].words.data(),
+        rows[i].words.size() * sizeof(std::uint32_t));
   }
   for (std::uint64_t i = 0; i < n; ++i) {
-    pad_to(entries[i].fail_off);
-    const auto f = store.failures(src(i));
-    write_hashed(out, hash, f.data(), f.size() * sizeof(std::uint64_t));
-    pos += f.size() * sizeof(std::uint64_t);
+    put(entries[i].fail_off, rows[i].failures.data(),
+        rows[i].failures.size() * sizeof(std::uint64_t));
   }
   for (std::uint64_t i = 0; i < n; ++i) {
-    pad_to(entries[i].elem_off);
-    const auto e = store.elements(src(i));
-    write_hashed(out, hash, e.data(), e.size() * sizeof(std::uint64_t));
-    pos += e.size() * sizeof(std::uint64_t);
+    put(entries[i].elem_off, rows[i].elements.data(),
+        rows[i].elements.size() * sizeof(std::uint64_t));
   }
-  pad_to(hdr.file_bytes);
+  put(hdr.file_bytes, nullptr, 0);
 
   hdr.checksum = hash.digest();
   out.seekp(static_cast<std::streamoff>(offsetof(SnapshotHeader, checksum)));

@@ -1,8 +1,10 @@
 // Snapshot store: the serving-side row-container format.
 //
-// A snapshot is a single file holding every sealed row of a BatmapStore
-// (per-row layout payload, failure lists, element lists) in a versioned,
-// checksummed, 64-byte-aligned layout designed to be mmap-ed read-only:
+// A snapshot is a single file holding a sequence of sealed rows (per-row
+// layout payload, failure lists, element lists) in a versioned,
+// checksummed, 64-byte-aligned layout designed to be mmap-ed read-only.
+// One writer emits it from rows: a BatmapStore's (offline builds and
+// shard-split) or the compactor's mix of mapped and rebuilt rows.
 //
 //   [SnapshotHeader: 64 B]
 //   [MapEntry table: map_count × 64 B]
@@ -112,9 +114,34 @@ std::optional<LayoutMode> parse_layout_mode(std::string_view name);
 std::vector<core::RowLayout> plan_layouts(const batmap::BatmapStore& store,
                                           LayoutMode mode);
 
-/// Serializes a BatmapStore into the snapshot format at `path`. `epoch`
-/// tags the build generation (cache keys include it, so a hot-swapped
-/// snapshot never serves stale cached results).
+/// plan_layouts' rule for one row that retains its element list: batmap
+/// range `range` (its batmap bytes), sorted `elements` and the failures
+/// among them (its stored ids). The compactor plans mapped rows with it,
+/// so a compacted epoch carries the layouts an offline plan would pick.
+core::RowLayout plan_row(LayoutMode mode, std::uint64_t universe,
+                         std::uint32_t range,
+                         std::span<const std::uint64_t> elements,
+                         std::span<const std::uint64_t> failures);
+
+/// A non-batmap row payload (dense, list or WAH words) encoded from the
+/// row's stored ids: `elements` minus `failures`, which must fit u32.
+std::vector<std::uint32_t> encode_payload(core::RowLayout layout,
+                                          std::uint64_t universe,
+                                          std::span<const std::uint64_t> elements,
+                                          std::span<const std::uint64_t> failures);
+
+/// The one snapshot writer: serializes `rows` in order (set id i is
+/// rows[i]) at `path`. Each row brings its layout tag, batmap range,
+/// stored-element count and spans for its payload words, failures and
+/// elements; the writer lays out the directory and the three 64B-aligned
+/// sections and checksums the file. `epoch` tags the build generation
+/// (cache keys include it, so a hot-swapped snapshot never serves stale
+/// cached results). The spans must stay valid for the call.
+void write_snapshot(const std::string& path, std::uint64_t epoch,
+                    std::uint64_t universe, std::uint64_t seed,
+                    std::span<const core::RowContainer> rows);
+
+/// Serializes a BatmapStore, every row batmap.
 void write_snapshot(const batmap::BatmapStore& store, const std::string& path,
                     std::uint64_t epoch = 0);
 
@@ -130,6 +157,7 @@ void write_snapshot(const batmap::BatmapStore& store, const std::string& path,
 /// is how `batmap_cli shard-split` cuts one corpus into per-shard
 /// snapshots that a ShardMap-consistent router can address. `layouts` is
 /// indexed by output position (size rows.size(), or empty = all batmap).
+/// All three BatmapStore overloads feed the row writer above.
 void write_snapshot(const batmap::BatmapStore& store, const std::string& path,
                     std::uint64_t epoch, std::span<const core::RowLayout> layouts,
                     std::span<const std::uint32_t> rows);

@@ -7,13 +7,20 @@
 // three must agree exactly, across seeds × delete ratios × row layouts and
 // a forced-insertion-failure case (the raw kSupport counts only match if
 // the effective-row rebuild is bit-equal to the offline cuckoo build).
-// The compactor's background trigger gets the same offline comparison.
-// Runs in the stress tier and the tsan label, and in the diff-smoke target.
+// The compactor's background trigger gets the same offline comparison, and
+// every emitted epoch must equal the offline rebuild's file byte for byte
+// for each (base, compact) layout-mode pair. Views must share the merged
+// ops of sets no write touched, and top-k on mixed snapshots with pending
+// writes must equal a brute-force ranking on both arms of the list
+// ranking. Runs in the stress tier and the tsan label, and in the
+// diff-smoke target.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -320,6 +327,232 @@ TEST(CompactorTest, OpAgeTriggerCompactsWithoutFlush) {
   Compactor::Options copt;
   copt.max_age_ms = 30;
   run_background(copt, 3, "bg_age");
+}
+
+// ---- compaction output -------------------------------------------------------
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Three compactions from a `base`-mode snapshot with a `compact`-mode
+/// compactor: each emitted epoch must be byte-identical to write_snapshot
+/// over an offline store of the merged sets planned with plan_layouts, and
+/// compacted_rows must grow by the sets written when the modes match.
+void run_identity(LayoutMode base, LayoutMode compact, const std::string& tag) {
+  SCOPED_TRACE(tag);
+  const std::uint64_t universe = 400;
+  batmap::BatmapStore::Options sopt;
+  sopt.builder.max_loop = 1;  // forces insertion failures
+  sopt.builder.max_cascade = 1;
+  Model model = random_model(universe, 20, 11, 180);
+  const std::string base_path =
+      snap_of(model, universe, sopt, base, /*epoch=*/1, tag);
+  Snapshot base_snap = Snapshot::open(base_path);
+  ASSERT_GT(base_snap.total_failures(), 0u) << "no forced failures";
+  SnapshotManager mgr(std::move(base_snap));
+  std::remove(base_path.c_str());
+  QueryEngine::Options opt;
+  opt.delta.builder = sopt.builder;
+  QueryEngine engine(mgr, opt);
+  Compactor::Options copt;
+  copt.out_prefix = "/tmp/batmap_delta_diff_" + tag + "_compact";
+  copt.layout = compact;
+  copt.keep_files = true;
+  Compactor compactor(mgr, engine.delta(), copt);
+
+  Xoshiro256 rng(41);
+  std::uint64_t rows_before = 0;
+  for (int round = 1; round <= 3; ++round) {
+    // Writes that change membership in k distinct sets, adds and deletes.
+    const std::uint32_t k = static_cast<std::uint32_t>(2 * round);
+    std::set<std::uint32_t> touched;
+    while (touched.size() < k) {
+      touched.insert(static_cast<std::uint32_t>(rng.below(model.size())));
+    }
+    for (const std::uint32_t set : touched) {
+      auto& s = model[set];
+      Query q;
+      q.a = set;
+      q.nids = 1;
+      if (rng.below(2) == 0 && !s.empty()) {
+        q.kind = QueryKind::kDelete;
+        q.ids[0] = static_cast<std::uint32_t>(*s.begin());
+        s.erase(s.begin());
+      } else {
+        std::uint64_t e = rng.below(universe);
+        while (!s.insert(e).second) e = rng.below(universe);
+        q.kind = QueryKind::kAdd;
+        q.ids[0] = static_cast<std::uint32_t>(e);
+      }
+      ASSERT_EQ(engine.execute_serial(q).value, 1u);
+    }
+    const std::uint64_t epoch = compactor.compact_now();
+    ASSERT_EQ(epoch, static_cast<std::uint64_t>(round + 1));
+    const std::string emitted = copt.out_prefix + ".e" + std::to_string(epoch);
+    const std::string offline = emitted + ".offline";
+    const auto store = store_of(model, universe, sopt);
+    write_snapshot(store, offline, epoch, plan_layouts(store, compact));
+    const std::string got = file_bytes(emitted);
+    EXPECT_FALSE(got.empty());
+    EXPECT_TRUE(got == file_bytes(offline)) << "round " << round;
+    std::remove(offline.c_str());
+    std::remove(emitted.c_str());
+
+    const std::uint64_t rows = engine.stats().compacted_rows;
+    if (base == compact || round > 1) {
+      // Every clean row already has the planned layout: only the k written
+      // rows are rebuilt.
+      EXPECT_EQ(rows - rows_before, k) << "round " << round;
+    } else {
+      EXPECT_GE(rows - rows_before, k) << "round " << round;
+    }
+    rows_before = rows;
+  }
+}
+
+TEST(CompactorTest, OutputIsByteIdenticalToOfflineRebuild) {
+  const std::pair<LayoutMode, LayoutMode> pairs[] = {
+      {LayoutMode::kAuto, LayoutMode::kAuto},
+      {LayoutMode::kBatmap, LayoutMode::kBatmap},
+      {LayoutMode::kBatmap, LayoutMode::kAuto},
+      {LayoutMode::kAuto, LayoutMode::kBatmap},
+      {LayoutMode::kList, LayoutMode::kAuto}};
+  for (const auto& [base, compact] : pairs) {
+    run_identity(base, compact,
+                 "ident_b" + std::to_string(static_cast<int>(base)) + "_c" +
+                     std::to_string(static_cast<int>(compact)));
+  }
+}
+
+// ---- incremental views -------------------------------------------------------
+
+TEST(DeltaLayerTest, ViewReusesUnchangedSets) {
+  DeltaLayer delta;
+  const std::vector<std::uint64_t> none;
+  for (std::uint32_t set : {1u, 4u, 7u}) {
+    const std::uint64_t elems[] = {set + 10ull, set + 20ull};
+    ASSERT_EQ(delta.apply(set, elems, false, none, 1), 2u);
+  }
+  const DeltaView before = delta.view_at(1);
+  const std::uint64_t more[] = {99};
+  ASSERT_EQ(delta.apply(4, more, false, none, 1), 1u);
+  const DeltaView after = delta.view_at(1);
+  for (std::uint32_t set : {1u, 7u}) {
+    ASSERT_EQ(after.ops(set).size(), 2u);
+    EXPECT_EQ(after.ops(set).data(), before.ops(set).data()) << "set " << set;
+  }
+  ASSERT_EQ(after.ops(4).size(), 3u);
+  EXPECT_NE(after.ops(4).data(), before.ops(4).data());
+  EXPECT_EQ(before.ops(4).size(), 2u);  // the old view is unchanged
+}
+
+// ---- top-k on mixed snapshots -------------------------------------------------
+
+/// Brute force: every set but `a`, by |S_a ∩ S_id| desc, then id asc.
+std::vector<TopEntry> brute_topk(const Model& m, std::uint32_t a,
+                                 std::uint32_t k) {
+  std::vector<TopEntry> all;
+  for (std::uint32_t id = 0; id < m.size(); ++id) {
+    if (id == a) continue;
+    std::uint64_t cnt = 0;
+    for (const std::uint64_t e : m[id]) cnt += m[a].count(e);
+    all.push_back({id, cnt});
+  }
+  std::sort(all.begin(), all.end(), [](const TopEntry& x, const TopEntry& y) {
+    return x.count != y.count ? x.count > y.count : x.id < y.id;
+  });
+  all.resize(std::min<std::size_t>(all.size(), k));
+  return all;
+}
+
+/// A snapshot whose rows cycle through every layout in `cycle`, then
+/// pending adds and deletes on half the sets (no FLUSH): top-k through the
+/// batched engine and through execute_one must equal the brute force.
+void run_mixed_topk(std::uint64_t universe, std::span<const core::RowLayout> cycle,
+                    const std::string& tag) {
+  SCOPED_TRACE(tag);
+  Model model = random_model(universe, 16, 23, 120);
+  const auto store = store_of(model, universe, {});
+  std::vector<core::RowLayout> layouts(store.size());
+  for (std::size_t i = 0; i < layouts.size(); ++i) {
+    layouts[i] = cycle[i % cycle.size()];
+  }
+  const std::string path = "/tmp/batmap_delta_diff_" + tag + ".snap";
+  write_snapshot(store, path, 1, layouts);
+  Snapshot snap = Snapshot::open(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(snap.all_batmap());
+  SnapshotManager mgr(std::move(snap));
+  QueryEngine engine(mgr, QueryEngine::Options{});
+
+  Xoshiro256 rng(5);
+  for (std::uint32_t set = 0; set < model.size(); set += 2) {
+    auto& s = model[set];
+    Query q;
+    q.a = set;
+    // Adds draw from another set's members so the writes move rankings.
+    const auto& donor = model[(set + 3) % model.size()];
+    for (auto it = donor.begin(); it != donor.end() && q.nids < 4; ++it) {
+      if (s.insert(*it).second) q.ids[q.nids++] = static_cast<std::uint32_t>(*it);
+    }
+    q.kind = QueryKind::kAdd;
+    if (q.nids > 0) {
+      ASSERT_EQ(engine.execute_serial(q).value, q.nids);
+    }
+    Query d;
+    d.a = set;
+    d.kind = QueryKind::kDelete;
+    while (d.nids < 3 && !s.empty()) {
+      auto it = std::next(s.begin(), static_cast<std::ptrdiff_t>(rng.below(s.size())));
+      d.ids[d.nids++] = static_cast<std::uint32_t>(*it);
+      s.erase(it);
+    }
+    if (d.nids > 0) {
+      ASSERT_EQ(engine.execute_serial(d).value, d.nids);
+    }
+  }
+
+  Request req;
+  for (std::uint32_t a = 0; a < model.size(); ++a) {
+    for (const std::uint32_t k : {1u, 5u, static_cast<std::uint32_t>(kMaxTopK)}) {
+      const auto want = brute_topk(model, a, k);
+      Query q;
+      q.kind = QueryKind::kTopK;
+      q.a = a;
+      q.k = k;
+      req.query = q;
+      engine.submit(req);
+      ASSERT_TRUE(QueryEngine::wait(req));
+      const Result naive = engine.execute_one(q);
+      for (const Result* got : {&req.result(), &naive}) {
+        ASSERT_EQ(got->topk_count, want.size()) << "a=" << a << " k=" << k;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got->topk[i].id, want[i].id) << "a=" << a << " rank " << i;
+          EXPECT_EQ(got->topk[i].count, want[i].count)
+              << "a=" << a << " rank " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKDiffTest, BitmapArmMatchesBruteForceUnderPendingWrites) {
+  // ⌈3000/64⌉ probe words are fewer than the stored elements: bit tests.
+  const core::RowLayout cycle[] = {core::RowLayout::kBatmap,
+                                   core::RowLayout::kDense,
+                                   core::RowLayout::kSortedList,
+                                   core::RowLayout::kWah};
+  run_mixed_topk(3000, cycle, "topk_bitmap");
+}
+
+TEST(TopKDiffTest, GallopArmMatchesBruteForceUnderPendingWrites) {
+  // 2^24 / 64 probe words outnumber the stored elements: galloping merges.
+  const core::RowLayout cycle[] = {core::RowLayout::kBatmap,
+                                   core::RowLayout::kSortedList,
+                                   core::RowLayout::kWah};
+  run_mixed_topk(1ull << 24, cycle, "topk_gallop");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "batmap/multiway.hpp"
 #include "util/rng.hpp"
@@ -82,21 +83,22 @@ TEST(GeneralBuilder, InvariantsAndSeal) {
 
 struct KwayParam {
   int d;
-  // gtest prints this struct as a byte dump and ctest names each case after
-  // it. These bytes were padding, which printed whatever the stack held, so
-  // the names changed between builds. `name_word` spells out the bytes each
-  // case's name was first recorded with, which keeps the names fixed;
-  // zeroing it would rename the cases whose recorded bytes are not zero.
-  std::uint32_t name_word;
   std::size_t k;
   std::size_t set_size;
   double overlap;
 };
 
+/// The case name, e.g. "d4_k3_size300_overlap30pct".
+std::string kway_name(const KwayParam& p) {
+  return "d" + std::to_string(p.d) + "_k" + std::to_string(p.k) + "_size" +
+         std::to_string(p.set_size) + "_overlap" +
+         std::to_string(static_cast<int>(p.overlap * 100 + 0.5)) + "pct";
+}
+
 class KwayP : public ::testing::TestWithParam<KwayParam> {};
 
 TEST_P(KwayP, GeneralBatmapCountsExactly) {
-  const auto [d, name_word, k, set_size, overlap] = GetParam();
+  const auto [d, k, set_size, overlap] = GetParam();
   const std::uint64_t universe = 20000;
   const MultiwayContext ctx(universe, d, 42 + d);
   Xoshiro256 rng(7 * d + k);
@@ -129,16 +131,17 @@ TEST_P(KwayP, GeneralBatmapCountsExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KwayP,
-    ::testing::Values(KwayParam{2, 0, 2, 200, 0.5},  // paper's base case
-                      KwayParam{3, 0, 2, 200, 0.5},  // k < d
-                      KwayParam{3, 0, 3, 200, 0.5},  // k == d
-                      KwayParam{4, 0x5F747365, 3, 300, 0.3},
-                      KwayParam{4, 0, 4, 300, 0.7},
-                      KwayParam{5, 0x002C3B03, 5, 150, 0.9},
-                      KwayParam{7, 0, 6, 100, 0.4},
+    ::testing::Values(KwayParam{2, 2, 200, 0.5},  // paper's base case
+                      KwayParam{3, 2, 200, 0.5},  // k < d
+                      KwayParam{3, 3, 200, 0.5},  // k == d
+                      KwayParam{4, 3, 300, 0.3},
+                      KwayParam{4, 4, 300, 0.7},
+                      KwayParam{5, 5, 150, 0.9},
+                      KwayParam{7, 6, 100, 0.4},
                       // empty intersection
-                      KwayParam{3, 0x00091E03, 3, 50, 0.0},
-                      KwayParam{3, 0, 3, 20, 1.0}));  // identical sets
+                      KwayParam{3, 3, 50, 0.0},
+                      KwayParam{3, 3, 20, 1.0}),  // identical sets
+    [](const auto& info) { return kway_name(info.param); });
 
 TEST(Multiway, KAboveDRejected) {
   const MultiwayContext ctx(1000, 2);

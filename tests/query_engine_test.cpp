@@ -557,7 +557,8 @@ TEST(QueryEngineTest, FormatStatsNamesEveryCounter) {
         &s.pinned_fallbacks, &s.epoch_rollovers, &s.rows_batmap,
         &s.rows_dense, &s.rows_list, &s.rows_wah, &s.delta_sets,
         &s.delta_elements, &s.delta_bytes, &s.delta_writes,
-        &s.delta_deletes, &s.compactions, &s.delta_shed, &s.x_queries}) {
+        &s.delta_deletes, &s.compactions, &s.compacted_rows, &s.delta_shed,
+        &s.x_queries}) {
     *f = ++v;
   }
   EXPECT_EQ(format_stats(s, 90, 91),
@@ -567,7 +568,8 @@ TEST(QueryEngineTest, FormatStatsNamesEveryCounter) {
             "timeouts=14 pinned_fallbacks=15 rollovers=16 rows_batmap=17 "
             "rows_dense=18 rows_list=19 rows_wah=20 delta_sets=21 "
             "delta_elements=22 delta_bytes=23 writes=24 deletes=25 "
-            "compactions=26 delta_shed=27 epoch=90 swaps=91 x_queries=28");
+            "compactions=26 compacted_rows=27 delta_shed=28 epoch=90 "
+            "swaps=91 x_queries=29");
 }
 
 // ---- MpmcQueue --------------------------------------------------------------
