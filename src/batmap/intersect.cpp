@@ -78,26 +78,6 @@ std::uint64_t BatmapStore::total_failures() const {
 
 namespace {
 
-/// First index i' >= i with v[i'] >= x (galloping from i: exponential probe
-/// then binary search within the bracketed range). Across a sorted probe
-/// sequence the cursors only move forward, so a whole failure list costs a
-/// single linear/galloping merge instead of per-element binary searches.
-std::size_t gallop_to(std::span<const std::uint64_t> v, std::size_t i,
-                      std::uint64_t x) {
-  if (i >= v.size() || v[i] >= x) return i;
-  std::size_t lo = i;          // v[lo] < x
-  std::size_t hi = i + 1;
-  std::size_t step = 1;
-  while (hi < v.size() && v[hi] < x) {
-    lo = hi;
-    hi += step;
-    step *= 2;
-  }
-  hi = std::min(hi, v.size());
-  return static_cast<std::size_t>(
-      std::lower_bound(v.begin() + lo, v.begin() + hi, x) - v.begin());
-}
-
 /// |list ∩ a ∩ b| for sorted lists, one forward merge pass.
 std::uint64_t count_in_both(std::span<const std::uint64_t> list,
                             std::span<const std::uint64_t> a,

@@ -11,6 +11,7 @@
 // where F_i is the failure list of set i (almost always empty).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -87,6 +88,28 @@ std::uint64_t patched_intersect_count(
     std::span<const std::uint64_t> sorted_a, const Batmap& map_b,
     std::span<const std::uint64_t> failed_b,
     std::span<const std::uint64_t> sorted_b);
+
+/// First index i' >= i with v[i'] >= x in sorted `v` (v.size() if none):
+/// an exponential probe from i, then a binary search within the bracket.
+/// Across a sorted probe sequence the cursor only moves forward, so a whole
+/// probe list costs one galloping merge instead of per-element searches.
+inline std::size_t gallop_to(std::span<const std::uint64_t> v, std::size_t i,
+                             std::uint64_t x) {
+  if (i >= v.size() || v[i] >= x) return i;
+  std::size_t lo = i;  // v[lo] < x
+  std::size_t hi = i + 1;
+  std::size_t step = 1;
+  while (hi < v.size() && v[hi] < x) {
+    lo = hi;
+    hi += step;
+    step *= 2;
+  }
+  hi = std::min(hi, v.size());
+  return static_cast<std::size_t>(
+      std::lower_bound(v.begin() + static_cast<std::ptrdiff_t>(lo),
+                       v.begin() + static_cast<std::ptrdiff_t>(hi), x) -
+      v.begin());
+}
 
 /// The failure correction alone: |(F_a ∪ F_b) ∩ S_a ∩ S_b| over sorted
 /// lists, by galloping merge. patched count = raw sweep count + this

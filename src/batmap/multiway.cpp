@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "batmap/intersect.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -209,23 +210,6 @@ inline std::uint8_t slot_at(std::span<const std::uint32_t> words,
 
 inline bool slot_match(std::uint8_t a, std::uint8_t b) {
   return ((a ^ b) & 0x7f) == 0 && ((a | b) & 0x80);
-}
-
-/// Galloping lower_bound: first index in v[lo, |v|) with v[idx] >= x.
-std::size_t gallop_to(std::span<const std::uint64_t> v, std::size_t lo,
-                      std::uint64_t x) {
-  std::size_t step = 1;
-  std::size_t hi = lo;
-  while (hi < v.size() && v[hi] < x) {
-    lo = hi + 1;
-    hi += step;
-    step *= 2;
-  }
-  if (hi > v.size()) hi = v.size();
-  return static_cast<std::size_t>(
-      std::lower_bound(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                       v.begin() + static_cast<std::ptrdiff_t>(hi), x) -
-      v.begin());
 }
 
 }  // namespace

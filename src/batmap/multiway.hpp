@@ -171,7 +171,7 @@ std::uint64_t multiway_intersect_count(
 /// common to `a` and `b` into `out` (capacity >= min(|a|, |b|)) and returns
 /// how many were written. The shorter list drives; each probe into the longer
 /// list is an exponential gallop + binary search, so cost is
-/// O(min·log(max/min)) — the planner's list-step primitive. `out` may alias
+/// O(min·log(max/min)) — the serve path's K/R fold step. `out` may alias
 /// either input's data (the write index never passes the read index), which
 /// is what lets the k-way reduction run in one scratch buffer.
 std::size_t gallop_intersect(std::span<const std::uint64_t> a,

@@ -569,7 +569,7 @@ RouterCore::Reply RouterCore::execute_impl(const Query& q,
       if (gated(touched, ms)) return err_reply(overload_line(ms));
       if (std::popcount(touched) == 1) {
         // Every operand on one shard: forward in protocol order with local
-        // ids — the shard's planner answers it like any native query.
+        // ids — the shard's K/R fold answers it like any native query.
         std::string line(1, op);
         line.push_back(' ');
         append_u64(line, q.nids);

@@ -53,6 +53,15 @@ std::span<const DeltaOp> ops_for(const std::vector<std::uint32_t>& ids,
   return ops[static_cast<std::size_t>(it - ids.begin())];
 }
 
+/// Bytes one set's cache holds: its merged ops and effective row lists.
+std::uint64_t cached_bytes(const DeltaOpsRef& ops, const EffectiveRowRef& row) {
+  std::uint64_t b = ops ? ops->size() * sizeof(DeltaOp) : 0;
+  if (row) {
+    b += (row->elements.size() + row->failures.size()) * sizeof(std::uint64_t);
+  }
+  return b;
+}
+
 const DeltaOp* find_in_sorted(const DeltaOp* data, std::uint32_t n,
                               std::uint64_t elem) {
   const DeltaOp* end = data + n;
@@ -207,7 +216,7 @@ std::uint64_t DeltaLayer::recount_live_locked() const {
 std::uint64_t DeltaLayer::approx_bytes_locked() const {
   const std::uint64_t ops = live_ops_.load(std::memory_order_relaxed) +
                             frozen_ops_.load(std::memory_order_relaxed);
-  return ops * sizeof(DeltaOp) + arena_.bytes_reserved();
+  return ops * sizeof(DeltaOp) + arena_.bytes_reserved() + cache_bytes_;
 }
 
 std::uint64_t DeltaLayer::apply(std::uint32_t set,
@@ -280,12 +289,14 @@ const DeltaOpsRef& DeltaLayer::merged_ops_locked(std::uint32_t set,
   for (const Run& r : sd.runs) out.insert(out.end(), r.data, r.data + r.n);
   out.insert(out.end(), sd.tail.begin(), sd.tail.end());
   sort_keep_last(out);
+  cache_bytes_ -= cached_bytes(sd.cache_ops, sd.cache_row);
   sd.cache_epoch = epoch;
   sd.cache_version = sd.version;
   sd.cache_ops = out.empty()
                      ? nullptr
                      : std::make_shared<const std::vector<DeltaOp>>(std::move(out));
   sd.cache_row.reset();
+  cache_bytes_ += cached_bytes(sd.cache_ops, nullptr);
   return sd.cache_ops;
 }
 
@@ -295,6 +306,7 @@ void DeltaLayer::drop_caches_locked() {
     sd.cache_ops.reset();
     sd.cache_row.reset();
   }
+  cache_bytes_ = 0;
 }
 
 DeltaView DeltaLayer::view_at(std::uint64_t epoch) const {
@@ -348,6 +360,7 @@ EffectiveRowRef DeltaLayer::effective_row(const Snapshot& snap,
     std::sort(row->failures.begin(), row->failures.end());
   }
   sd.cache_row = row;
+  cache_bytes_ += cached_bytes(nullptr, row);
   return row;
 }
 

@@ -162,7 +162,7 @@ class DeltaLayer {
   struct Gauges {
     std::uint64_t delta_sets = 0;      ///< sets with pending (uncommitted) ops
     std::uint64_t delta_elements = 0;  ///< pending ops (live + uncommitted frozen)
-    std::uint64_t delta_bytes = 0;     ///< approximate resident footprint
+    std::uint64_t delta_bytes = 0;     ///< approx. resident bytes, caches too
     std::uint64_t writes = 0;          ///< add ops recorded (cumulative)
     std::uint64_t deletes = 0;         ///< delete ops recorded (cumulative)
     std::uint64_t compactions = 0;     ///< committed compactions
@@ -201,7 +201,8 @@ class DeltaLayer {
   /// The deterministic rebuild of one row under the ops visible at `epoch`:
   /// merged elements + the failure list the cuckoo build produces for them.
   /// Cached beside the set's merged ops, under the same key, so repeated
-  /// kSupport / k-way queries against the same delta state rebuild once.
+  /// kSupport queries and raw semi-joins against the same delta state
+  /// rebuild once; the cached lists count toward max_bytes.
   EffectiveRowRef effective_row(const Snapshot& snap, std::uint32_t set,
                                 std::uint64_t epoch) const;
 
@@ -306,6 +307,9 @@ class DeltaLayer {
   std::uint64_t compactions_ = 0;
   std::uint64_t compacted_rows_ = 0;
   std::uint64_t failed_compactions_ = 0;
+  /// Bytes the per-set caches hold (merged ops, effective rows); counted
+  /// in the budget and the delta_bytes gauge.
+  mutable std::uint64_t cache_bytes_ = 0;
   std::uint64_t oldest_live_ms_ = 0;  ///< steady-clock ms of oldest live op
   std::atomic<std::uint64_t> live_ops_{0};
   std::atomic<std::uint64_t> frozen_ops_{0};  ///< frozen_ + prev_frozen_

@@ -1,7 +1,6 @@
 #include "service/query_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -40,19 +39,6 @@ bool is_kway(QueryKind kind) {
 bool is_mutation(QueryKind kind) {
   return kind == QueryKind::kAdd || kind == QueryKind::kDelete ||
          kind == QueryKind::kFlush;
-}
-
-/// Dedups `ids[0, n)` order-preserving into `out` (capacity kMaxKwayIds);
-/// returns the unique count. A ∩ A = A, so duplicates are harmless to drop.
-std::uint32_t dedup_ids(const std::uint32_t* ids, std::uint32_t n,
-                        std::uint32_t* out) {
-  std::uint32_t m = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    bool seen = false;
-    for (std::uint32_t j = 0; j < m; ++j) seen = seen || out[j] == ids[i];
-    if (!seen) out[m++] = ids[i];
-  }
-  return m;
 }
 
 /// `count` plus the pair's delta correction (unchanged when neither row has
@@ -99,22 +85,43 @@ std::uint64_t fold_rows(std::span<const std::uint32_t> ids, bool seeded,
   return merges;
 }
 
-/// K-way kinds over effective element lists, in protocol order: the
-/// antecedent ids[0..n-2] folds first, so kRuleScore's aux is the running
-/// size before the consequent ids[n-1] folds in. Adds its merges to
-/// `merges`.
+/// The one K/R executor: folds effective element lists with the smallest
+/// set driving. The operands (kRuleScore: the antecedent ids[0..n-2])
+/// dedup — A ∩ A = A — and fold in ascending stored size, ties by id;
+/// kRuleScore's aux is that running size before the consequent ids[n-1]
+/// folds in. Adds its merges to `merges`.
 Result kway_effective(const Snapshot& snap, const DeltaView& dview,
                       const Query& q, std::uint64_t& merges) {
   const auto effective = [&](std::uint32_t id,
                               std::vector<std::uint64_t>& tmp) {
     return effective_elements(snap, dview, id, tmp);
   };
-  const std::span<const std::uint32_t> ids(q.ids, q.nids);
+  const auto before = [&](std::uint32_t x, std::uint32_t y) {
+    const std::size_t ex = snap.elements(x).size();
+    const std::size_t ey = snap.elements(y).size();
+    return ex != ey ? ex < ey : x < y;
+  };
+  const bool rule = q.kind == QueryKind::kRuleScore;
+  const std::uint32_t n = rule ? q.nids - 1u : q.nids;
+  std::uint32_t order[kMaxKwayIds];
+  // Insertion sort (n <= 8); equal ids have equal sizes, so duplicates
+  // end up adjacent.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint32_t j = i;
+    for (; j > 0 && before(q.ids[i], order[j - 1]); --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = q.ids[i];
+  }
+  const std::span<const std::uint32_t> ids(order,
+                                           std::unique(order, order + n));
   Result res;
   std::vector<std::uint64_t> cur;
-  merges += fold_rows(ids.first(ids.size() - 1), false, cur, effective);
-  res.aux = q.kind == QueryKind::kRuleScore ? cur.size() : 0;
-  merges += fold_rows(ids.last(1), true, cur, effective);
+  merges += fold_rows(ids, false, cur, effective);
+  if (rule) {
+    res.aux = cur.size();
+    merges += fold_rows({&q.ids[q.nids - 1], 1}, true, cur, effective);
+  }
   res.value = cur.size();
   return res;
 }
@@ -284,9 +291,8 @@ bool QueryEngine::valid(const ServingState& st, const Query& q) {
     for (std::uint32_t i = 0; i < q.nids; ++i) {
       const std::uint32_t id = q.ids[i];
       if (id >= n) return false;
-      // Exact k-way answers read the stored element lists (planner decode
-      // and brute-force oracle alike); a snapshot cut without them can only
-      // serve pair kinds.
+      // The K/R fold reads the stored element lists; a snapshot cut
+      // without them can only serve pair kinds.
       if (snap.elements(id).empty() &&
           snap.stored_elements(id) + snap.failures(id).size() > 0) {
         return false;
@@ -509,8 +515,6 @@ void QueryEngine::execute_batch(std::size_t count, bool on_waiter) {
 
   auto topks = arena_.alloc_array<std::uint32_t>(count);
   std::size_t n_topk = 0;
-  auto kways = arena_.alloc_array<std::uint32_t>(count);
-  std::size_t n_kway = 0;
 
   for (std::size_t i = 0; i < count; ++i) {
     Request& r = *batch_[i];
@@ -562,7 +566,10 @@ void QueryEngine::execute_batch(std::size_t count, bool on_waiter) {
     if (is_kway(r.query.kind)) {
       // K-way queries bypass the cache: Key{a, b} cannot hold an id list
       // losslessly and a hashed key could alias two different lists.
-      kways[n_kway++] = static_cast<std::uint32_t>(i);
+      run_kway(*cur, r, local, dview);
+      ++local.queries;
+      ++local.kway_queries;
+      complete(r, Request::kDone);
       continue;
     }
     // Dirty queries bypass the cache entirely (no probe, no insert): an
@@ -635,16 +642,6 @@ void QueryEngine::execute_batch(std::size_t count, bool on_waiter) {
     }
     t = u;
   }
-
-  // K-way queries: each one runs its own support-ordered plan against the
-  // mmap spans (list merges + counter sweeps over arena scratch).
-  for (std::size_t i = 0; i < n_kway; ++i) {
-    Request& r = *batch_[kways[i]];
-    run_kway(*cur, r, local, dview);
-    ++local.queries;
-    ++local.kway_queries;
-    complete(r, Request::kDone);
-  }
 }
 
 void QueryEngine::publish(Stats& local) {
@@ -661,7 +658,6 @@ void QueryEngine::publish(Stats& local) {
   stats_.duplicate_topk += local.duplicate_topk;
   stats_.kway_queries += local.kway_queries;
   stats_.kway_list_steps += local.kway_list_steps;
-  stats_.kway_sweep_steps += local.kway_sweep_steps;
   stats_.timeouts += local.timeouts;
   stats_.pinned_fallbacks += local.pinned_fallbacks;
   stats_.epoch_rollovers += local.epoch_rollovers;
@@ -744,146 +740,8 @@ void QueryEngine::run_topk(const ServingState& st, Request& r,
 
 void QueryEngine::run_kway(const ServingState& st, Request& r, Stats& local,
                            const DeltaView& dview) {
-  const Query& q = r.query;
-  bool dirty = false;
-  for (std::uint32_t i = 0; i < q.nids; ++i) {
-    dirty = dirty || dview.dirty(q.ids[i]);
-  }
-  if (dirty) {
-    // A pending delta on any operand invalidates the planner (its sweeps
-    // read base words): the query folds effective element lists instead.
-    r.result_ = kway_effective(st.snapshot(), dview, q, local.kway_list_steps);
-    return;
-  }
-  std::uint32_t uniq[kMaxKwayIds];
-  const std::uint32_t n_uniq = dedup_ids(q.ids, q.nids, uniq);
-  r.result_.value = kway_count(st, {uniq, n_uniq}, local);
-  if (q.kind == QueryKind::kRuleScore) {
-    // Antecedent = ids[0 .. nids-2]; the consequent is the last operand.
-    const std::uint32_t n_ante =
-        dedup_ids(q.ids, static_cast<std::uint32_t>(q.nids - 1), uniq);
-    r.result_.aux = kway_count(st, {uniq, n_ante}, local);
-  }
-}
-
-std::uint64_t QueryEngine::kway_count(const ServingState& st,
-                                      std::span<const std::uint32_t> ids,
-                                      Stats& local) {
-  const Snapshot& snap = st.snapshot();
-  REPRO_CHECK(!ids.empty());
-
-  // Order operands by stored support ascending: the smallest set is the
-  // base, so every list merge and the final decode touch as few elements
-  // as possible.
-  auto order = arena_.alloc_array<std::uint32_t>(ids.size());
-  std::copy(ids.begin(), ids.end(), order.begin());
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              const std::uint64_t ex = snap.elements(x).size();
-              const std::uint64_t ey = snap.elements(y).size();
-              if (ex != ey) return ex < ey;
-              return x < y;
-            });
-  const std::uint32_t base = order[0];
-  const auto base_elems = snap.elements(base);
-  if (order.size() == 1) return base_elems.size();
-  if (base_elems.empty()) return 0;
-
-  // A counter sweep is only exact when both maps are failure-free (a failed
-  // element is absent from its map, so a sweep would undercount it); those
-  // steps are forced onto the list path, which reads the full element
-  // lists and is always exact. Counter sweeps also read packed batmap
-  // words, so in a mixed-layout snapshot any non-batmap operand (e.g. a
-  // sorted-list row) enters the plan as a free list operand instead.
-  const bool base_clean = snap.failures(base).empty() &&
-                          snap.layout(base) == core::RowLayout::kBatmap;
-  const std::uint64_t base_slots = snap.words(base).size() * 4;
-  auto lists = arena_.alloc_array<std::uint32_t>(order.size());
-  auto sweeps = arena_.alloc_array<std::uint32_t>(order.size());
-  std::size_t n_list = 0, n_sweep = 0;
-  // order[] is size-sorted, so the running intersection stays bounded by
-  // the base size; every step is priced against that bound.
-  const std::uint64_t driver = base_elems.size();
-  std::uint64_t sweep_gain = 0;
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const std::uint32_t id = order[i];
-    bool sweep = false;
-    if (base_clean && snap.failures(id).empty() &&
-        snap.layout(id) == core::RowLayout::kBatmap) {
-      // Cost model, in units of ~one random memory touch. A galloping
-      // merge does ~driver gallops of 3+log2(other/driver) touches, each
-      // a cache-hostile probe into the other list. A sweep streams
-      // max(base_slots, other_slots) packed slot bytes sequentially, four
-      // per word, so it counts slots/4. A step is a sweep CANDIDATE when
-      // its marginal cost beats the merge; whether the candidates run is
-      // settled jointly below, because they share the fixed costs.
-      //
-      // The per-gallop constant was 2 until a calibration sweep (each
-      // strategy forced, over operand-size ratios x1..x32) showed the model
-      // conservative at mid ratios (4–16): it kept choosing list merges
-      // where measured sweeps ran ~10–15% faster. One extra touch per
-      // gallop — the binary-search refinement probe the old constant
-      // ignored — moves the modeled crossover to match the measured one;
-      // kway_diff_test pins the new switch point.
-      const std::uint64_t other_slots = snap.words(id).size() * 4;
-      const std::uint64_t other_size = snap.elements(id).size();
-      const std::uint64_t ratio = other_size / std::max<std::uint64_t>(driver, 1);
-      const std::uint64_t list_cost =
-          driver * (3 + std::bit_width(ratio));
-      const std::uint64_t sweep_cost = std::max(base_slots, other_slots) / 4;
-      if (sweep_cost < list_cost) {
-        sweep = true;
-        sweep_gain += list_cost - sweep_cost;
-      }
-    }
-    if (sweep) sweeps[n_sweep++] = id;
-    else lists[n_list++] = id;
-  }
-  // All sweeps share one counter array and one decode pass: the fixed cost
-  // — zeroing base_slots 32-bit counters (a memset, /4) plus ~2 random
-  // probes per surviving base element — is paid once however many sweeps
-  // run. Take the sweep set only if its aggregate saving covers that;
-  // otherwise demote every candidate to a list merge.
-  const std::uint64_t sweep_fixed = base_slots / 4 + 2 * driver;
-  if (n_sweep > 0 && sweep_gain <= sweep_fixed) {
-    for (std::size_t i = 0; i < n_sweep; ++i) lists[n_list++] = sweeps[i];
-    n_sweep = 0;
-  }
-  std::uint64_t max_credit = 0;    ///< per-position counter bound
-  for (std::size_t i = 0; i < n_sweep; ++i) {
-    const std::uint64_t other_slots = snap.words(sweeps[i]).size() * 4;
-    max_credit += std::max<std::uint64_t>(1, other_slots / base_slots);
-  }
-  REPRO_CHECK_MSG(max_credit <= 0xffffffffull,
-                  "k-way counter bound exceeds 32 bits");
-
-  // List steps first: each merge can only shrink the driving set, and an
-  // empty intermediate short-circuits the sweeps entirely. gallop_intersect
-  // tolerates out aliasing either input, so one buffer suffices.
-  auto buf = arena_.alloc_array<std::uint64_t>(base_elems.size());
-  std::span<const std::uint64_t> m = base_elems;
-  for (std::size_t i = 0; i < n_list; ++i) {
-    const std::size_t n2 =
-        batmap::gallop_intersect(m, snap.elements(lists[i]), buf.data());
-    m = {buf.data(), n2};
-    ++local.kway_list_steps;
-    if (m.empty()) return 0;
-  }
-  if (n_sweep == 0) return m.size();
-
-  auto counters = arena_.alloc_array<std::uint32_t>(base_slots);
-  std::fill(counters.begin(), counters.end(), 0u);
-  for (std::size_t i = 0; i < n_sweep; ++i) {
-    batmap::accumulate_pair_counters(snap.words(base), snap.words(sweeps[i]),
-                                     counters);
-    ++local.kway_sweep_steps;
-  }
-  // An element of m is in every sweep operand iff its two occurrence
-  // counters sum to the number of sweeps (the paper's pairwise-counter
-  // rule, restricted to the post-merge survivors).
-  return batmap::decode_counter_matches(snap.context(), snap.words(base),
-                                        snap.range(base), m, counters,
-                                        n_sweep);
+  r.result_ = kway_effective(st.snapshot(), dview, r.query,
+                             local.kway_list_steps);
 }
 
 std::uint64_t QueryEngine::pair_value(const ServingState& st,
@@ -971,8 +829,6 @@ Result QueryEngine::execute_on(const ServingState& st, const Query& q) const {
       break;
     case QueryKind::kKway:
     case QueryKind::kRuleScore:
-      // Protocol order, deliberately independent of the planner:
-      // batched-vs-naive parity cross-checks kway_count against this fold.
       res = kway_effective(st.snapshot(), dview, q, merges);
       break;
     case QueryKind::kAdd:
@@ -1096,7 +952,7 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
       "STATS queries=%" PRIu64 " batches=%" PRIu64 " inline_batches=%" PRIu64
       " max_batch=%" PRIu64 " cache_hits=%" PRIu64 " cache_misses=%" PRIu64
       " cyclic_pairs=%" PRIu64 " topk_sweeps=%" PRIu64 " kway=%" PRIu64
-      " kway_list=%" PRIu64 " kway_sweep=%" PRIu64 " arena_reserved=%" PRIu64
+      " kway_list=%" PRIu64 " arena_reserved=%" PRIu64
       " shed=%" PRIu64 " timeouts=%" PRIu64 " pinned_fallbacks=%" PRIu64
       " rollovers=%" PRIu64 " rows_batmap=%" PRIu64 " rows_dense=%" PRIu64
       " rows_list=%" PRIu64 " rows_wah=%" PRIu64 " delta_sets=%" PRIu64
@@ -1106,7 +962,7 @@ std::string format_stats(const QueryEngine::Stats& s, std::uint64_t epoch,
       " epoch=%" PRIu64 " swaps=%" PRIu64 " x_queries=%" PRIu64,
       s.queries, s.batches, s.inline_batches, s.max_batch_seen, s.cache_hits,
       s.cache_misses, s.cyclic_pairs, s.topk_sweeps, s.kway_queries,
-      s.kway_list_steps, s.kway_sweep_steps, s.arena_reserved_bytes,
+      s.kway_list_steps, s.arena_reserved_bytes,
       s.shed_overload, s.timeouts, s.pinned_fallbacks, s.epoch_rollovers,
       s.rows_batmap, s.rows_dense, s.rows_list, s.rows_wah, s.delta_sets,
       s.delta_elements, s.delta_bytes, s.delta_writes, s.delta_deletes,

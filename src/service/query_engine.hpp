@@ -20,16 +20,13 @@
 //      list ranking the naive path and X T use: the probe's effective
 //      elements as a bitmap, each row's list counted by bit tests (or
 //      galloped in sparse universes).
-//   4. k-way conjunctive queries (kKway / kRuleScore) are planned per query:
-//      operands ordered by snapshot-stored support, then each intersection
-//      step picks galloping sorted-list merge vs batmap counter sweep by a
-//      memory-touch cost model; the sweeps' shared fixed cost (one counter
-//      array, one decode pass) is amortized over the whole candidate set
-//      (see kway_count). A query with a dirty operand, and every k-way
-//      query on the naive path, folds effective element lists instead.
-//      Results are exact and independent of protocol operand order; they
-//      bypass the result cache (its key cannot hold an id list
-//      losslessly).
+//   4. k-way conjunctive queries (kKway / kRuleScore) run one fold on every
+//      path (batched, straggler, naive), clean or dirty: the deduplicated
+//      operands' effective element lists intersect by galloping merges in
+//      ascending stored size, so the smallest set drives (kRuleScore folds
+//      its antecedent first, then the consequent). Results are exact and
+//      independent of protocol operand order; they bypass the result cache
+//      (its key cannot hold an id list losslessly).
 //
 // Who runs a batch: submit only pushes. wait() tries the execution lock
 // for a few microseconds and, when it gets it, runs the queued micro-batch
@@ -132,8 +129,8 @@ struct Query {
   /// 0 = no deadline. Expired requests are shed with outcome kTimeout at
   /// admission and again before execution, never silently served late.
   std::uint64_t deadline_ns = 0;
-  /// Operands of the k-way kinds, in protocol order (the planner reorders
-  /// internally; results are order-independent). a/b/k are unused there.
+  /// Operands of the k-way kinds, in protocol order (the fold reorders
+  /// them by size; results are order-independent). a/b/k are unused there.
   std::uint32_t ids[kMaxKwayIds] = {};
   std::uint8_t nids = 0;  ///< operands filled in ids[], 2..kMaxKwayIds
 };
@@ -275,10 +272,8 @@ class QueryEngine {
     std::uint64_t topk_sweeps = 0;    ///< row sweeps executed
     std::uint64_t duplicate_topk = 0;   ///< top-k served from a shared sweep
     std::uint64_t kway_queries = 0;   ///< k-way / rule-score queries served
-    /// Planner step counters: galloping sorted-list merges vs batmap
-    /// counter sweeps chosen by the per-step cost model.
+    /// Galloping merges run by the K/R fold (batched queries).
     std::uint64_t kway_list_steps = 0;
-    std::uint64_t kway_sweep_steps = 0;
     /// Admissions shed with kRingFull or kShed (typed overload, not queued).
     std::uint64_t shed_overload = 0;
     /// Requests completed with outcome kTimeout (expired at admission or in
@@ -354,7 +349,7 @@ class QueryEngine {
 
   /// The naive reference path: executes one query synchronously on the
   /// calling thread against the current state — no queue, no batch, no
-  /// cache, no row sweep, no k-way planner. Bit-identical to the batched
+  /// cache, no row sweep. Bit-identical to the batched
   /// answers. Read kinds only (REPRO_CHECK on mutations — use
   /// execute_serial for those).
   Result execute_one(const Query& q) const;
@@ -452,19 +447,10 @@ class QueryEngine {
   static ResultCache<Result>::Key cache_key(std::uint64_t epoch,
                                             const Query& q);
   void run_topk(const ServingState& st, Request& r, const DeltaView& dview);
-  /// Cost-planned k-way execution inside a batch (arena scratch):
-  /// operands ordered by snapshot-stored support, each step either a
-  /// galloping list merge or a batmap counter sweep. Exact for both kinds.
-  /// Queries touching a dirty set fold effective element lists instead.
+  /// A batched K/R query: the fold execute_on runs too (see item 4 of the
+  /// file comment), its merges counted in `local`.
   void run_kway(const ServingState& st, Request& r, Stats& local,
                 const DeltaView& dview);
-  /// The planner core: exact |∩ ids| over deduplicated operands, under the
-  /// execution lock (scratch comes from the batch arena). The naive path
-  /// (execute_on) instead folds element lists in protocol order, so
-  /// batched-vs-naive fingerprint parity cross-checks the planner against
-  /// an independent implementation.
-  std::uint64_t kway_count(const ServingState& st,
-                           std::span<const std::uint32_t> ids, Stats& local);
   /// The one pair answer (kIntersect exact, kSupport raw) of every path:
   /// the snapshot's layout kernel for clean rows; under pending ops, base
   /// kernel + delta correction, and for kSupport the effective rows'

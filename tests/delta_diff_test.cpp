@@ -448,6 +448,35 @@ TEST(DeltaLayerTest, ViewReusesUnchangedSets) {
   EXPECT_EQ(before.ops(4).size(), 2u);  // the old view is unchanged
 }
 
+TEST(DeltaLayerTest, BudgetCountsCachedRows) {
+  // One pending op on a 4,000-element row fits a 4 KiB budget; the row's
+  // cached effective rebuild (32 KB of elements) does not, so once a read
+  // builds it the next write must shed, and dropping the caches frees it.
+  Model model(1);
+  for (std::uint64_t e = 0; e < 4000; ++e) model[0].insert(2 * e);
+  const std::string path = snap_of(model, 8000, {}, LayoutMode::kBatmap, 1,
+                                    "budget");
+  const Snapshot snap = Snapshot::open(path);
+  std::remove(path.c_str());
+  DeltaLayer::Options opt;
+  opt.max_bytes = 4096;
+  DeltaLayer delta(opt);
+  const std::uint64_t add[] = {1}, more[] = {3}, later[] = {5};
+  ASSERT_EQ(delta.apply(0, add, false, snap.elements(0), 1), 1u);
+  const std::uint64_t before = delta.gauges().delta_bytes;
+  ASSERT_LE(before + 2 * sizeof(DeltaOp), opt.max_bytes);  // two more fit
+
+  ASSERT_EQ(delta.view_at(1).ops(0).size(), 1u);
+  ASSERT_EQ(delta.effective_row(snap, 0, 1)->elements.size(), 4001u);
+  EXPECT_GE(delta.gauges().delta_bytes, before + 4001 * sizeof(std::uint64_t));
+  EXPECT_THROW(delta.apply(0, more, false, snap.elements(0), 1),
+               DeltaFullError);
+
+  ASSERT_TRUE(delta.freeze());  // freeze drops every cache
+  EXPECT_LT(delta.gauges().delta_bytes, opt.max_bytes);
+  EXPECT_EQ(delta.apply(0, later, false, snap.elements(0), 1), 1u);
+}
+
 // ---- top-k on mixed snapshots -------------------------------------------------
 
 /// Brute force: every set but `a`, by |S_a ∩ S_id| desc, then id asc.

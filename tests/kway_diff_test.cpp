@@ -1,13 +1,14 @@
-// Randomized differential tests for the k-way conjunctive planner
-// (QueryEngine::kway_count): the planned execution — support-ordered
-// operands, galloping list merges, amortized counter sweeps — must agree
+// Randomized differential tests for the K/R fold (kway_effective in
+// query_engine.cpp): deduplicated operands intersected by galloping merges
+// in ascending stored size must agree — batched and through execute_one —
 // with a brute-force sorted-vector intersection for every seed, density,
-// k in [2, 8] and every operand ordering, with and without forced
-// insertion failures. Runs in the stress tier (ASan+UBSan CI job).
+// k in [2, 8] and every operand ordering, with forced insertion failures,
+// on mixed layouts, and for rule scores whose consequent is the smallest
+// operand or repeats an antecedent, with and without a pending write.
+// Runs in the stress tier (ASan+UBSan CI job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <iterator>
 #include <set>
@@ -27,11 +28,9 @@ struct SnapFixture {
   batmap::BatmapStore store;
   Snapshot snap;
 
-  /// `min_size`/`max_size` bound the per-set sizes drawn uniformly; dense
-  /// near-equal sizes make the planner pick counter sweeps, skewed mixes
-  /// make it pick list merges.
-  /// `mixed` writes the snapshot with cycled per-row layouts (i % 4) so the
-  /// planner sees non-batmap rows, which are ineligible for counter sweeps.
+  /// `min_size`/`max_size` bound the per-set sizes drawn uniformly.
+  /// `mixed` writes the snapshot with cycled per-row layouts (i % 4), so
+  /// the fold reads element lists of every layout.
   static SnapFixture make(std::uint64_t universe, int sets,
                           std::size_t min_size, std::size_t max_size,
                           std::uint64_t seed, const char* tag,
@@ -101,7 +100,7 @@ std::uint64_t ask(QueryEngine& engine, const Query& q) {
   return req.result().value;
 }
 
-TEST(KwayDiffTest, PlannerMatchesBruteForceAcrossSeedsAndOrders) {
+TEST(KwayDiffTest, FoldMatchesBruteForceAcrossSeedsAndOrders) {
   // Seeds × size regimes; within each, every k in [2, 8] and several
   // operand orderings (all permutations when k <= 4, random shuffles
   // above) must produce the brute-force answer bit-exactly.
@@ -110,12 +109,12 @@ TEST(KwayDiffTest, PlannerMatchesBruteForceAcrossSeedsAndOrders) {
     std::size_t min_size, max_size;
   };
   const Regime regimes[] = {
-      {3000, 20, 200},     // sparse, skewed: list-merge territory
-      {4000, 1500, 1900},  // dense, near-equal: sweep territory
+      {3000, 20, 200},     // sparse, skewed
+      {4000, 1500, 1900},  // dense, near-equal
       {20000, 5, 3000},    // wild mix of ranges
   };
   std::uint64_t total_queries = 0;
-  std::uint64_t list_steps = 0, sweep_steps = 0;
+  std::uint64_t list_steps = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (std::size_t ri = 0; ri < std::size(regimes); ++ri) {
       const auto& rg = regimes[ri];
@@ -159,118 +158,12 @@ TEST(KwayDiffTest, PlannerMatchesBruteForceAcrossSeedsAndOrders) {
       EXPECT_EQ(st.kway_queries, asked);
       total_queries += st.kway_queries;
       list_steps += st.kway_list_steps;
-      sweep_steps += st.kway_sweep_steps;
     }
   }
-  // Both planner primitives must actually have run: the dense regimes
-  // fund counter sweeps, the skewed ones galloping merges. A zero here
-  // means the differential sweep silently stopped covering one path.
+  // The batched fold must actually have merged: a zero here means this
+  // test silently stopped covering it.
   EXPECT_GT(total_queries, 0u);
   EXPECT_GT(list_steps, 0u);
-  EXPECT_GT(sweep_steps, 0u);
-}
-
-TEST(KwayDiffTest, CostModelSwitchPointIsPinned) {
-  // Pins the planner's list-vs-sweep switch point after the calibration
-  // retune (per-gallop constant 2 -> 3). The test
-  // replicates the whole plan — support-ordered fold, per-step sweep
-  // candidacy, the shared fixed-cost demotion gate — from snapshot
-  // introspection, then demands the planner's observed step mix
-  // (kway_list_steps/kway_sweep_steps deltas) match the replica exactly
-  // for every query shape. At least one shape must land in the band the
-  // retune flipped (sweeps under the new constant, all-demoted under the
-  // old), so reverting the constant fails here, not just in a timing run.
-  batmap::BatmapStore store(20000);
-  Xoshiro256 rng(47);
-  auto add_set = [&](std::size_t size) {
-    std::set<std::uint64_t> s;
-    while (s.size() < size) s.insert(rng.below(store.universe()));
-    std::vector<std::uint64_t> v(s.begin(), s.end());
-    store.add(v);
-  };
-  add_set(1990);  // id 0: strictly smallest -> always the fold base
-  for (int i = 0; i < 7; ++i) add_set(2000);   // near-equal: sweep fodder
-  for (int i = 0; i < 2; ++i) add_set(16000);  // skewed: list territory
-  const std::string path = "/tmp/batmap_kway_diff_test_switch.snap";
-  write_snapshot(store, path, /*epoch=*/1, {});
-  Snapshot snap = Snapshot::open(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(snap.all_batmap());
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    ASSERT_TRUE(snap.failures(i).empty()) << i;  // all steps stay eligible
-  }
-
-  // The replica of kway_count's planner for a per-gallop constant; returns
-  // {list_steps, sweep_steps}.
-  const auto predict = [&](std::vector<std::uint32_t> ids,
-                           std::uint64_t per_gallop) {
-    std::sort(ids.begin(), ids.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                const auto ex = snap.elements(x).size();
-                const auto ey = snap.elements(y).size();
-                return ex != ey ? ex < ey : x < y;
-              });
-    const std::uint64_t driver = snap.elements(ids[0]).size();
-    const std::uint64_t base_slots = snap.words(ids[0]).size() * 4;
-    std::uint64_t n_list = 0, n_sweep = 0, gain = 0;
-    for (std::size_t i = 1; i < ids.size(); ++i) {
-      const std::uint64_t other_size = snap.elements(ids[i]).size();
-      const std::uint64_t other_slots = snap.words(ids[i]).size() * 4;
-      const std::uint64_t list_cost =
-          driver * (per_gallop + std::bit_width(other_size / driver));
-      const std::uint64_t sweep_cost = std::max(base_slots, other_slots) / 4;
-      if (sweep_cost < list_cost) {
-        ++n_sweep;
-        gain += list_cost - sweep_cost;
-      } else {
-        ++n_list;
-      }
-    }
-    if (n_sweep > 0 && gain <= base_slots / 4 + 2 * driver) {
-      n_list += n_sweep;  // joint demotion: the saving missed the fixed cost
-      n_sweep = 0;
-    }
-    return std::pair<std::uint64_t, std::uint64_t>{n_list, n_sweep};
-  };
-
-  QueryEngine engine(snap, {});
-  std::uint64_t flipped = 0, sweeps_seen = 0, lists_seen = 0;
-  std::uint64_t prev_list = 0, prev_sweep = 0;
-  std::vector<std::vector<std::uint32_t>> shapes;
-  for (std::uint32_t k = 2; k <= kMaxKwayIds; ++k) {
-    std::vector<std::uint32_t> ids(k);
-    for (std::uint32_t i = 0; i < k; ++i) ids[i] = i;  // base + equal sizes
-    shapes.push_back(ids);
-  }
-  shapes.push_back({0, 8});         // pure skew: never a sweep candidate
-  shapes.push_back({0, 1, 8});      // mixed: candidate + non-candidate
-  shapes.push_back({0, 1, 2, 8, 9});
-  for (const auto& ids : shapes) {
-    const auto [want_list, want_sweep] = predict(ids, 3);
-    const auto [old_list, old_sweep] = predict(ids, 2);
-    if (want_sweep > 0 && old_sweep == 0) ++flipped;
-
-    Request req;
-    req.query = kway_query(ids);
-    engine.submit(req);
-    ASSERT_TRUE(QueryEngine::wait(req));
-    ASSERT_EQ(req.result().value, brute_fold(store, ids).size());
-    const auto st = engine.stats();
-    const std::uint64_t dl = st.kway_list_steps - prev_list;
-    const std::uint64_t ds = st.kway_sweep_steps - prev_sweep;
-    prev_list = st.kway_list_steps;
-    prev_sweep = st.kway_sweep_steps;
-    ASSERT_EQ(dl, want_list) << "k=" << ids.size();
-    ASSERT_EQ(ds, want_sweep) << "k=" << ids.size();
-    sweeps_seen += ds;
-    lists_seen += dl;
-  }
-  // The fan must exercise both primitives and cross the band the retune
-  // moved; fixture drift that collapses either would make the pin
-  // vacuous, so it fails loudly instead.
-  EXPECT_GT(sweeps_seen, 0u);
-  EXPECT_GT(lists_seen, 0u);
-  EXPECT_GT(flipped, 0u);
 }
 
 TEST(KwayDiffTest, RuleScoreReportsJointAndAntecedent) {
@@ -300,18 +193,96 @@ TEST(KwayDiffTest, RuleScoreReportsJointAndAntecedent) {
   }
 }
 
-TEST(KwayDiffTest, ForcedFailuresFallBackToExactLists) {
-  // max_loop=1 floods the store with insertion failures; failed sets are
-  // ineligible for counter sweeps, so every step must take the (always
-  // exact) list path and still match brute force.
+/// One rule score batched and through execute_one; both must equal the
+/// brute-force joint and antecedent counts over `oracle`.
+void expect_rule(QueryEngine& engine, const batmap::BatmapStore& oracle,
+                 const std::vector<std::uint32_t>& ids) {
+  const std::uint64_t joint = brute_fold(oracle, ids).size();
+  const std::uint64_t ante =
+      brute_fold(oracle, {ids.begin(), ids.end() - 1}).size();
+  Request req;
+  req.query = kway_query(ids, QueryKind::kRuleScore);
+  engine.submit(req);
+  ASSERT_TRUE(QueryEngine::wait(req));
+  const Result one = engine.execute_one(req.query);
+  for (const Result* got : {&req.result(), &one}) {
+    EXPECT_EQ(got->value, joint);
+    EXPECT_EQ(got->aux, ante);
+  }
+}
+
+TEST(KwayDiffTest, RuleScoreConsequentFoldsAfterSizeOrderedAntecedent) {
+  // The fold sorts the antecedent by size but keeps the consequent last,
+  // so a consequent that is the smallest operand, or repeats an
+  // antecedent id, must still leave aux = |antecedent|. Checked on clean
+  // rows, then with a pending add on the smallest set (its element list
+  // grows; the fold still orders by stored size).
+  const auto fx = SnapFixture::make(3000, 10, 30, 900, 41, "rule_order");
+  const auto n = static_cast<std::uint32_t>(fx.snap.size());
+  std::uint32_t small = 0, large = 0;
+  for (std::uint32_t id = 1; id < n; ++id) {
+    const auto size = fx.store.elements(id).size();
+    if (size < fx.store.elements(small).size()) small = id;
+    if (size > fx.store.elements(large).size()) large = id;
+  }
+  std::vector<std::vector<std::uint32_t>> shapes;
+  Xoshiro256 rng(43);
+  for (std::uint32_t k = 2; k <= kMaxKwayIds; ++k) {
+    std::vector<std::uint32_t> ids(k);
+    for (std::uint32_t i = 0; i + 1 < k; ++i) {
+      do {
+        ids[i] = static_cast<std::uint32_t>(rng.below(n));
+      } while (ids[i] == small);
+    }
+    ids[k - 1] = small;  // the smallest operand is the consequent
+    shapes.push_back(ids);
+    ids[k - 1] = ids[rng.below(k - 1)];  // repeats an antecedent id
+    shapes.push_back(ids);
+  }
+  shapes.push_back({small, large, small});
+  shapes.push_back({large, large});
+
+  QueryEngine engine(fx.snap, {});
+  for (const auto& ids : shapes) {
+    SCOPED_TRACE(::testing::PrintToString(ids) + " clean");
+    expect_rule(engine, fx.store, ids);
+  }
+
+  // Pending add: the large set's members join the small one.
+  batmap::BatmapStore oracle(fx.store.universe());
+  for (std::uint32_t id = 0; id < n; ++id) {
+    const auto e = fx.store.elements(id);
+    std::vector<std::uint64_t> v(e.begin(), e.end());
+    if (id == small) {
+      Query add;
+      add.kind = QueryKind::kAdd;
+      add.a = small;
+      for (const std::uint64_t x : fx.store.elements(large)) {
+        if (add.nids == kMaxKwayIds) break;
+        if (std::binary_search(e.begin(), e.end(), x)) continue;
+        add.ids[add.nids++] = static_cast<std::uint32_t>(x);
+        v.push_back(x);
+      }
+      ASSERT_EQ(engine.execute_serial(add).value, add.nids);
+    }
+    oracle.add(v);
+  }
+  for (const auto& ids : shapes) {
+    SCOPED_TRACE(::testing::PrintToString(ids) + " pending add");
+    expect_rule(engine, oracle, ids);
+  }
+}
+
+TEST(KwayDiffTest, ForcedFailuresStayExact) {
+  // max_loop=1 floods the store with insertion failures. Element lists
+  // hold whole sets, failed elements included, so the fold must still
+  // match brute force.
   batmap::BatmapStore::Options sopt;
   sopt.builder.max_loop = 1;
   sopt.builder.max_cascade = 1;
   const auto fx = SnapFixture::make(4000, 12, 800, 1800, 13, "fail", sopt);
   ASSERT_GT(fx.store.total_failures(), 0u);
-  // Operands come from the sets that actually carry failures: a sweep step
-  // needs a failure-free operand, so drawing only dirty sets guarantees
-  // the planner can never schedule one.
+  // Operands come from the sets that actually carry failures.
   std::vector<std::uint32_t> dirty;
   for (std::size_t id = 0; id < fx.store.size(); ++id) {
     if (!fx.store.failures(id).empty()) {
@@ -336,14 +307,12 @@ TEST(KwayDiffTest, ForcedFailuresFallBackToExactLists) {
   const auto st = engine.stats();
   EXPECT_EQ(st.kway_queries, asked);
   EXPECT_GT(st.kway_list_steps, 0u);
-  EXPECT_EQ(st.kway_sweep_steps, 0u);  // sweeps need failure-free operands
 }
 
 TEST(KwayDiffTest, MixedLayoutSnapshotMatchesBruteForce) {
-  // Cycled per-row layouts (batmap/dense/list/wah): non-batmap rows are
-  // free list operands — never sweep bases or sweep operands — so the
-  // planner must still fold to the exact brute-force answer with at least
-  // one list step per query and plenty of coverage of the dispatch table.
+  // Cycled per-row layouts (batmap/dense/list/wah): the fold reads every
+  // row's element list whatever its layout, so it must still reach the
+  // exact brute-force answer.
   const auto fx = SnapFixture::make(6000, 16, 100, 2200, 23, "mixed", {},
                                     /*mixed=*/true);
   ASSERT_FALSE(fx.snap.all_batmap());

@@ -552,24 +552,23 @@ TEST(QueryEngineTest, FormatStatsNamesEveryCounter) {
   for (std::uint64_t* f :
        {&s.queries, &s.batches, &s.inline_batches, &s.max_batch_seen,
         &s.cache_hits, &s.cache_misses, &s.cyclic_pairs, &s.topk_sweeps,
-        &s.kway_queries, &s.kway_list_steps, &s.kway_sweep_steps,
-        &s.arena_reserved_bytes, &s.shed_overload, &s.timeouts,
-        &s.pinned_fallbacks, &s.epoch_rollovers, &s.rows_batmap,
-        &s.rows_dense, &s.rows_list, &s.rows_wah, &s.delta_sets,
-        &s.delta_elements, &s.delta_bytes, &s.delta_writes,
-        &s.delta_deletes, &s.compactions, &s.compacted_rows, &s.delta_shed,
-        &s.x_queries}) {
+        &s.kway_queries, &s.kway_list_steps, &s.arena_reserved_bytes,
+        &s.shed_overload, &s.timeouts, &s.pinned_fallbacks,
+        &s.epoch_rollovers, &s.rows_batmap, &s.rows_dense, &s.rows_list,
+        &s.rows_wah, &s.delta_sets, &s.delta_elements, &s.delta_bytes,
+        &s.delta_writes, &s.delta_deletes, &s.compactions, &s.compacted_rows,
+        &s.delta_shed, &s.x_queries}) {
     *f = ++v;
   }
   EXPECT_EQ(format_stats(s, 90, 91),
             "STATS queries=1 batches=2 inline_batches=3 max_batch=4 "
             "cache_hits=5 cache_misses=6 cyclic_pairs=7 topk_sweeps=8 kway=9 "
-            "kway_list=10 kway_sweep=11 arena_reserved=12 shed=13 "
-            "timeouts=14 pinned_fallbacks=15 rollovers=16 rows_batmap=17 "
-            "rows_dense=18 rows_list=19 rows_wah=20 delta_sets=21 "
-            "delta_elements=22 delta_bytes=23 writes=24 deletes=25 "
-            "compactions=26 compacted_rows=27 delta_shed=28 epoch=90 "
-            "swaps=91 x_queries=29");
+            "kway_list=10 arena_reserved=11 shed=12 "
+            "timeouts=13 pinned_fallbacks=14 rollovers=15 rows_batmap=16 "
+            "rows_dense=17 rows_list=18 rows_wah=19 delta_sets=20 "
+            "delta_elements=21 delta_bytes=22 writes=23 deletes=24 "
+            "compactions=25 compacted_rows=26 delta_shed=27 epoch=90 "
+            "swaps=91 x_queries=28");
 }
 
 // ---- MpmcQueue --------------------------------------------------------------

@@ -456,16 +456,16 @@ TEST(ServiceSmokeTest, NaiveModeHonorsDeadlinesLikeBatched) {
   std::remove(snap.c_str());
 }
 
-// Tentpole: a mixed I/S/T/K/R stream is answered identically by the
-// batched planner and the --naive brute-force path, fingerprint included,
-// and the k-way pair case agrees with the pair query.
+// A mixed I/S/T/K/R stream is answered identically by the batched path
+// and the --naive path, fingerprint included, and the k-way pair case
+// agrees with the pair query.
 TEST(ServiceSmokeTest, KwayStreamMatchesNaiveByteForByte) {
   const std::string store = build_store("kway");
   const std::string snap = cut_snapshot(store, "kway", 5);
 
   const std::string script =
       "I 0 1\\n"
-      "K 2 0 1\\n"          // same pair through the k-way planner
+      "K 2 0 1\\n"          // same pair through the k-way fold
       "K 5 0 1 2 3 4\\n"
       "R 3 0 1 2\\n"
       "S 1 2\\n"

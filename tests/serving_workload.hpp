@@ -104,7 +104,7 @@ inline std::vector<Query> make_stream(const Spec& s) {
       q.kind = QueryKind::kTopK;
       q.k = 1 + static_cast<std::uint32_t>(rng.below(8));
     } else if (draw < s.topk_permille + s.kway_permille) {
-      // Duplicate operands are allowed: the planner dedups them.
+      // Duplicate operands are allowed: the fold dedups them.
       q.kind = rng.below(2) == 0 ? QueryKind::kKway : QueryKind::kRuleScore;
       q.nids = static_cast<std::uint8_t>(2 + rng.below(kMaxKwayIds - 1));
       for (std::uint32_t j = 0; j < q.nids; ++j) q.ids[j] = zipf(rng);
